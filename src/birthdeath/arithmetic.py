@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import operator
 from decimal import Decimal
 
 from .errors import ContextMismatchError, PrecisionError
@@ -30,11 +31,19 @@ _MIN_EXTENDED_DIGITS = 15
 # divergence is normally detected by the term-ratio tests long before.
 _EMAX = 999_999_999
 
+_INFINITE_OPERAND = "arithmetic on infinity is not defined here"
+
+
+def _float_divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return a / b
+
 
 class RealContext:
     """Precision contract: machine binary64 or extended decimal digits."""
 
-    __slots__ = ("mode", "digits", "_dctx")
+    __slots__ = ("mode", "digits", "_dctx", "is_machine", "_literals")
 
     def __init__(self, mode: str, digits: int | None = None):
         if mode not in (MACHINE, EXTENDED):
@@ -57,11 +66,13 @@ class RealContext:
             self.digits = None
             self._dctx = None
         self.mode = mode
+        self.is_machine = mode == MACHINE
+        self._literals: dict[str, Real] = {}
 
     # Contexts with equal (mode, digits) round identically and are
     # interchangeable; value mixing checks use this equivalence.
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, RealContext)
             and self.mode == other.mode
             and self.digits == other.digits
@@ -75,10 +86,6 @@ class RealContext:
             return "RealContext(machine)"
         return f"RealContext(extended, digits={self.digits})"
 
-    @property
-    def is_machine(self) -> bool:
-        return self.mode == MACHINE
-
     # -- constructors -----------------------------------------------------
 
     def real(self, value) -> "Real":
@@ -88,24 +95,27 @@ class RealContext:
         optional fraction and exponent.  A Real from an equivalent context
         passes through; any other Real is a hard failure.
         """
-        if isinstance(value, Real):
-            if value.ctx != self:
-                raise ContextMismatchError(
-                    f"value from {value.ctx!r} used under {self!r}"
-                )
-            return value
         if isinstance(value, bool):
             raise TypeError("bool is not a real number")
         if isinstance(value, int):
             if self.is_machine:
                 return Real(self, float(value))
             return Real(self, self._dctx.plus(Decimal(value)))
+        if isinstance(value, str):
+            literal = self._literals.get(value)
+            if literal is None:
+                literal = self._literals[value] = self._from_literal(value)
+            return literal
+        if isinstance(value, Real):
+            if value.ctx != self:
+                raise ContextMismatchError(
+                    f"value from {value.ctx!r} used under {self!r}"
+                )
+            return value
         if isinstance(value, float):
             if self.is_machine:
                 return self._wrap(value)
             return Real(self, self._dctx.plus(Decimal(value)))
-        if isinstance(value, str):
-            return self._from_literal(value)
         raise TypeError(f"cannot make a Real from {type(value).__name__}")
 
     def _from_literal(self, text: str) -> "Real":
@@ -137,7 +147,7 @@ class RealContext:
     # -- internal op plumbing ---------------------------------------------
 
     def _wrap(self, v: float) -> "Real":
-        if math.isinf(v) or math.isnan(v):
+        if not math.isfinite(v):
             raise OverflowError("operation overflowed machine precision")
         return Real(self, v)
 
@@ -206,7 +216,7 @@ class Real:
 
     def _coerce(self, other):
         if isinstance(other, Real):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError(
                     f"mixing values from {self.ctx!r} and {other.ctx!r}"
                 )
@@ -221,30 +231,41 @@ class Real:
         for v in operands:
             if isinstance(v, float):
                 if math.isinf(v):
-                    raise ValueError("arithmetic on infinity is not defined here")
+                    raise ValueError(_INFINITE_OPERAND)
             elif isinstance(v, Decimal) and v.is_infinite():
-                raise ValueError("arithmetic on infinity is not defined here")
+                raise ValueError(_INFINITE_OPERAND)
 
-    def _binop(self, other, f_float, f_dec):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._guard_finite(self._v, o)
-        ctx = self.ctx
+    def _binop(self, other, f_float, dec_op: str):
+        """``self <op> other``: f_float at machine precision, else the named
+        method of the context's ``decimal.Context``."""
+        a, ctx = self._v, self.ctx
+        if other.__class__ is Real and other.ctx is ctx:
+            o = other._v  # the common case, without a call to _coerce
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         if ctx.is_machine:
-            return ctx._wrap(f_float(self._v, o))
-        return Real(ctx, ctx._dec(f_dec, self._v, o))
+            if math.isinf(a) or math.isinf(o):
+                raise ValueError(_INFINITE_OPERAND)
+            v = f_float(a, o)
+            if not math.isfinite(v):
+                raise OverflowError("operation overflowed machine precision")
+            return Real(ctx, v)
+        if a.is_infinite() or o.is_infinite():
+            raise ValueError(_INFINITE_OPERAND)
+        return Real(ctx, ctx._dec(getattr(ctx._dctx, dec_op), a, o))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b, self.ctx._dctx.add if self.ctx._dctx else None)
+        return self._binop(other, operator.add, "add")
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b, self.ctx._dctx.subtract if self.ctx._dctx else None)
+        return self._binop(other, operator.sub, "subtract")
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -253,22 +274,13 @@ class Real:
         return Real(self.ctx, o).__sub__(self)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b, self.ctx._dctx.multiply if self.ctx._dctx else None)
+        return self._binop(other, operator.mul, "multiply")
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        self._guard_finite(self._v, o)
-        ctx = self.ctx
-        if ctx.is_machine:
-            if o == 0.0:
-                raise ZeroDivisionError("division by zero")
-            return ctx._wrap(self._v / o)
-        return Real(ctx, ctx._dec(ctx._dctx.divide, self._v, o))
+        return self._binop(other, _float_divide, "divide")
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -306,6 +318,10 @@ class Real:
     # -- comparisons (total order; infinity compares greater) ----------------
 
     def _cmp_operand(self, other):
+        if other.__class__ is Real and other.ctx is self.ctx:
+            return other._v
+        if other.__class__ is int:
+            return other  # float and Decimal compare exactly with int
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare Real with {type(other).__name__}")

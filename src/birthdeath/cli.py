@@ -109,13 +109,14 @@ def prob(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive, fmt
     ctx = _context(digits)
     model = expr_model(lambda_src, mu_src, ctx)
     policy = _policy(ctx, tol, max_terms)
-    engine = extinction_probabilities_naive if naive else extinction_probabilities
     method = NAIVE_RECURSION if naive else STABLE_SERIES
     try:
-        report = engine(model, imax, ctx, policy)
+        report = extinction_probabilities(model, imax, ctx, policy)
     except InconclusiveSeriesError as exc:
         _emit(output.inconclusive_payload("prob", lambda_src, mu_src, ctx, exc.terms, method), fmt)
         click_ctx.exit(2)
+    if naive:
+        report = extinction_probabilities_naive(model, report, ctx)
     _emit(output.extinction_payload(report, lambda_src, mu_src, ctx), fmt)
 
 
@@ -134,13 +135,14 @@ def time_cmd(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive,
     ctx = _context(digits)
     model = expr_model(lambda_src, mu_src, ctx)
     policy = _policy(ctx, tol, max_terms)
-    engine = omega_naive if naive else omega_stable
     method = NAIVE_RECURSION if naive else STABLE_SERIES
     try:
-        report = engine(model, imax, ctx, policy)
+        report = omega_stable(model, imax, ctx, policy)
     except InconclusiveSeriesError as exc:
         _emit(output.inconclusive_payload("time", lambda_src, mu_src, ctx, exc.terms, method), fmt)
         click_ctx.exit(2)
+    if naive:
+        report = omega_naive(model, report, ctx)
     _emit(output.hitting_payload(report, lambda_src, mu_src, ctx), fmt)
 
 
@@ -162,15 +164,14 @@ def compare(click_ctx, lambda_src, mu_src, imax, digits, quantity, tol, max_term
     try:
         if quantity == "time":
             stable = omega_stable(model, imax, ctx, policy)
-            naive = omega_naive(model, imax, ctx, policy)
+            naive = omega_naive(model, stable, ctx)
             stable_values, naive_values = stable.omega, naive.omega
         else:
             stable = extinction_probabilities(model, imax, ctx, policy)
-            naive = extinction_probabilities_naive(model, imax, ctx, policy)
+            naive = extinction_probabilities_naive(model, stable, ctx)
             stable_values, naive_values = stable.a, naive.a
     except InconclusiveSeriesError as exc:
-        kind = "time" if quantity == "time" else "prob"
-        _emit(output.inconclusive_payload(kind, lambda_src, mu_src, ctx, exc.terms, STABLE_SERIES), fmt)
+        _emit(output.inconclusive_payload(quantity, lambda_src, mu_src, ctx, exc.terms, STABLE_SERIES), fmt)
         click_ctx.exit(2)
     payload = output.compare_payload(
         quantity, stable_values, naive_values, naive.violations,
@@ -225,7 +226,7 @@ def demo_instability(click_ctx, lambda_src, mu_src, imax, digits_list, tol, max_
         model = expr_model(lambda_src, mu_src, ctx)
         policy = _policy(ctx, tol, max_terms)
         try:
-            report = omega_naive(model, imax, ctx, policy)
+            report = omega_naive(model, omega_stable(model, imax, ctx, policy), ctx)
         except InconclusiveSeriesError:
             entries.append({
                 "mode": ctx.mode,

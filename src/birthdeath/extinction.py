@@ -18,6 +18,7 @@ out-of-range values instead of repairing them.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator
 
 from .arithmetic import Real, RealContext
@@ -112,32 +113,21 @@ def extinction_probabilities(
 
 
 def extinction_probabilities_naive(
-    model: RateModel,
-    i_max: int,
-    ctx: RealContext,
-    policy: SeriesPolicy | None = None,
+    model: RateModel, stable: ExtinctionReport, ctx: RealContext
 ) -> ExtinctionReport:
     """Extinction probabilities by the forward recursion, for comparison.
 
-    With a divergent normalizing sum the recursion is vacuous (all ones).
-    Values escaping [0, 1] are recorded as violations, never clipped.
+    ``stable`` is the :func:`extinction_probabilities` report for the same
+    model and context; the recursion covers the same indexes.  With a
+    divergent normalizing sum the recursion is vacuous and ``stable`` is
+    passed through, relabelled.  Values escaping [0, 1] are recorded as
+    violations, never clipped.
     """
-    if i_max < 1:
-        raise ValueError(f"i_max must be >= 1, got {i_max}")
-    outcome = extinction_sum(model, ctx, policy)
+    if stable.classification != UNCERTAIN:
+        return replace(stable, method=NAIVE_RECURSION)
+    i_max = len(stable.d)
     one = ctx.one()
-    if isinstance(outcome, Diverged):
-        return ExtinctionReport(
-            classification=CERTAIN,
-            series_sum=None,
-            a=[one] * (i_max + 1),
-            d=[ctx.zero()] * i_max,
-            terms_used=outcome.terms,
-            method=NAIVE_RECURSION,
-            low_confidence=outcome.low_confidence,
-        )
-    total = outcome.total
-    a = [one, one - one / total]
+    a = [one, one - one / stable.series_sum]
     for i in range(1, i_max):
         ratio = model.death(i) / model.birth(i)
         a.append((one + ratio) * a[i] - ratio * a[i - 1])
@@ -147,12 +137,4 @@ def extinction_probabilities_naive(
         if value < 0 or value > 1
     ]
     d = [a[i - 1] - a[i] for i in range(1, i_max + 1)]
-    return ExtinctionReport(
-        classification=UNCERTAIN,
-        series_sum=total,
-        a=a,
-        d=d,
-        terms_used=outcome.terms,
-        method=NAIVE_RECURSION,
-        violations=violations,
-    )
+    return replace(stable, a=a, d=d, method=NAIVE_RECURSION, violations=violations)

@@ -10,6 +10,20 @@ t_{n+1} = t_n * lambda_n / mu_{n+1} (linear cost, no re-multiplied
 products).  The expected time to extinction from state i is the prefix
 sum omega_i = delta_0 + ... + delta_{i-1}, with omega_0 = 0.
 
+:func:`omega_stable` sums that series once, for the top index i_max-1,
+and gets every lower delta from the one-transition balance at state i,
+
+    delta_{i-1} = (1 + lambda_i delta_i) / mu_i,
+
+run downward.  The step only adds and divides positive numbers, so it
+cancels nothing, and a relative error in delta_i reaches delta_{i-1}
+scaled by lambda_i delta_i / (1 + lambda_i delta_i) < 1: errors shrink
+on the way down.  This is the direction in which the recurrence's
+wanted solution is the minimal one (Gautschi, "Computational aspects of
+three-term recurrence relations", SIAM Review 9, 1967), the stable
+counterpart of the forward recursion below.  :func:`delta_series` stays
+available for any single index, as an independent check.
+
 The alternative textbook route runs the forward three-term recursion
 
     omega_{i+1} = (1 + mu_i/lambda_i) omega_i - (mu_i/lambda_i) omega_{i-1}
@@ -30,6 +44,7 @@ zero; :func:`delta_residual` makes that checkable numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterator, Union
 
 from .arithmetic import Real, RealContext
@@ -111,12 +126,14 @@ def omega_stable(
     ctx: RealContext,
     policy: SeriesPolicy | None = None,
 ) -> HittingTimeReport:
-    """Expected times to extinction omega[0..i_max] via per-step series.
+    """Expected times to extinction omega[0..i_max] from one seed series.
 
     Refuses (classification ``NotCertainExtinction``) when the extinction
     probability is below one, since the unconditional expected time is not
-    the quantity anyone wants there.  If some delta diverges, every later
-    omega is infinite and is reported as such.
+    the quantity anyone wants there.  delta at i_max-1 is summed as a
+    series and the lower deltas follow by the downward step.  If that
+    series diverges, every delta, being finite exactly when its neighbours
+    are, is infinite, and so is every omega past omega[0].
     """
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
@@ -128,56 +145,48 @@ def omega_stable(
             delta=[],
             omega=[ctx.zero()],
             method=STABLE_SERIES,
-            per_delta_terms=[],
+            terms_used=0,
         )
-    delta: list[Real] = []
-    omega: list[Real] = [ctx.zero()]
-    per_terms: list[int] = []
-    inf = ctx.infinity()
-    for i in range(i_max):
-        outcome = delta_series(model, i, ctx, policy)
-        if isinstance(outcome, Infinite):
-            # once one step has infinite expectation, all later ones do too
-            per_terms.append(outcome.terms)
-            per_terms.extend(0 for _ in range(i + 1, i_max))
-            delta.extend(inf for _ in range(i, i_max))
-            omega.extend(inf for _ in range(i + 1, i_max + 1))
-            return HittingTimeReport(
-                classification=INFINITE,
-                delta=delta,
-                omega=omega,
-                method=STABLE_SERIES,
-                per_delta_terms=per_terms,
-            )
-        delta.append(outcome.value)
-        omega.append(omega[-1] + outcome.value)
-        per_terms.append(outcome.terms)
+    top = delta_series(model, i_max - 1, ctx, policy)
+    if isinstance(top, Infinite):
+        inf = ctx.infinity()
+        return HittingTimeReport(
+            classification=INFINITE,
+            delta=[inf] * i_max,
+            omega=[ctx.zero()] + [inf] * i_max,
+            method=STABLE_SERIES,
+            terms_used=top.terms,
+            low_confidence=top.low_confidence,
+        )
+    one = ctx.one()
+    delta = [top.value]
+    for i in range(i_max - 1, 0, -1):
+        delta.append((one + model.birth(i) * delta[-1]) / model.death(i))
+    delta.reverse()
     return HittingTimeReport(
         classification=FINITE,
         delta=delta,
-        omega=omega,
+        omega=list(accumulate(delta, initial=ctx.zero())),
         method=STABLE_SERIES,
-        per_delta_terms=per_terms,
+        terms_used=top.terms,
     )
 
 
 def omega_naive(
-    model: RateModel,
-    i_max: int,
-    ctx: RealContext,
-    policy: SeriesPolicy | None = None,
+    model: RateModel, stable: HittingTimeReport, ctx: RealContext
 ) -> HittingTimeReport:
     """Expected times to extinction via the forward recursion, for comparison.
 
-    Mirrors :func:`omega_stable` when extinction is uncertain or the
-    expected time is infinite.  Otherwise seeds omega_1 with the series
-    value and recurses forward, recording per-index violations: negative
-    values, non-monotone steps, and relative deviation from the stable
-    value above 1.
+    ``stable`` is the :func:`omega_stable` report for the same model and
+    context; the recursion covers the same indexes.  A report that is not
+    ``Finite`` is passed through, relabelled.  Otherwise seeds omega_1
+    with the stable delta_0 and recurses forward, recording per-index
+    violations: negative values, non-monotone steps, and relative
+    deviation from the stable value above 1.
     """
-    stable = omega_stable(model, i_max, ctx, policy)
     if stable.classification != FINITE:
         return replace(stable, method=NAIVE_RECURSION)
+    i_max = len(stable.delta)
     one = ctx.one()
     omega = [ctx.zero(), stable.delta[0]]
     violations: list[Violation] = []
@@ -199,13 +208,8 @@ def omega_naive(
             violations.append(Violation(i, VIOLATION_DEVIATION))
     violations.sort(key=lambda v: v.index)
     delta = [omega[i + 1] - omega[i] for i in range(len(omega) - 1)]
-    return HittingTimeReport(
-        classification=FINITE,
-        delta=delta,
-        omega=omega,
-        method=NAIVE_RECURSION,
-        per_delta_terms=stable.per_delta_terms[:1],
-        violations=violations,
+    return replace(
+        stable, delta=delta, omega=omega, method=NAIVE_RECURSION, violations=violations
     )
 
 

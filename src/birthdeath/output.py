@@ -82,7 +82,7 @@ def extinction_payload(
 def hitting_payload(
     report: HittingTimeReport, lambda_src: str, mu_src: str, ctx: RealContext
 ) -> dict:
-    return {
+    payload = {
         "model": {"lambda": lambda_src, "mu": mu_src},
         "method": report.method,
         "classification": report.classification,
@@ -90,9 +90,11 @@ def hitting_payload(
         "delta": [fmt(x) for x in report.delta],
         "omega": [fmt(x) for x in report.omega],
         "violations": _violations_payload(report.violations),
-        "terms_used": sum(report.per_delta_terms),
-        "per_delta_terms": list(report.per_delta_terms),
+        "terms_used": report.terms_used,
     }
+    if report.low_confidence:
+        payload["low_confidence"] = True
+    return payload
 
 
 def inconclusive_payload(
@@ -202,17 +204,8 @@ def payload_csv(payload: dict) -> str:
         return _csv_text(["index", "a", "d"], rows)
     if "omega" in payload:
         omega, delta = payload["omega"], payload["delta"]
-        terms = payload.get("per_delta_terms", [])
-        rows = [
-            [
-                i,
-                omega[i],
-                delta[i] if i < len(delta) else "",
-                terms[i] if i < len(terms) else "",
-            ]
-            for i in range(len(omega))
-        ]
-        return _csv_text(["index", "omega", "delta", "series_terms"], rows)
+        rows = [[i, omega[i], delta[i] if i < len(delta) else ""] for i in range(len(omega))]
+        return _csv_text(["index", "omega", "delta"], rows)
     if "stable" in payload:
         key = "omega" if payload["quantity"] == "time" else "a"
         stable, naive = payload["stable"][key], payload["naive"][key]

@@ -39,6 +39,12 @@ _FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "min": 2, "max": 2}
 
 _VARIABLE = "n"
 
+# Every recursive cycle of the grammar (parentheses, function arguments,
+# unary minus, exponents) passes through ``unary``; nesting it deeper than
+# this is refused as a syntax error before the interpreter's recursion
+# limit turns it into a crash.
+_MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Number:
@@ -107,6 +113,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -152,10 +159,16 @@ class _Parser:
 
     def unary(self) -> RateExpr:
         kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Unary("-", self.unary(), pos)
-        return self.power()
+        if self.depth >= _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", pos)
+        self.depth += 1
+        try:
+            if kind == "op" and value == "-":
+                self.advance()
+                return Unary("-", self.unary(), pos)
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self) -> RateExpr:
         node = self.atom()
@@ -228,13 +241,13 @@ def eval_expr(expr: RateExpr, n: int, ctx: RealContext) -> Real:
 
 
 def _eval(node: RateExpr, n: int, ctx: RealContext) -> Real:
+    if isinstance(node, Variable):
+        return ctx.real(n)
     if isinstance(node, Number):
         try:
             return ctx.real(node.literal)
         except (ValueError, OverflowError) as exc:
             raise ExprEvalError(str(exc), node.pos) from exc
-    if isinstance(node, Variable):
-        return ctx.real(n)
     if isinstance(node, Unary):
         return -_eval(node.operand, n, ctx)
     if isinstance(node, Binary):

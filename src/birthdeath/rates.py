@@ -7,8 +7,8 @@ rates, and the model refuses to answer for n < 1.
 
 Rates must be strictly positive; a zero or negative value raises
 :class:`NonPositiveRateError` at the first offending index.  Results are
-memoized per index by default so repeated series passes are consistent
-and cheap (the cache is idempotent, so concurrent readers are safe).
+memoized per index so repeated series passes are consistent and cheap
+(the cache is idempotent, so concurrent readers are safe).
 """
 
 from __future__ import annotations
@@ -23,19 +23,17 @@ from .errors import NonPositiveRateError
 class RateModel:
     """Pair of per-state rate functions with positivity checking."""
 
-    __slots__ = ("label", "_birth_fn", "_death_fn", "_memoize", "_birth_memo", "_death_memo")
+    __slots__ = ("label", "_birth_fn", "_death_fn", "_birth_memo", "_death_memo")
 
     def __init__(
         self,
         birth: Callable[[int], Real],
         death: Callable[[int], Real],
         label: str = "custom",
-        memoize: bool = True,
     ):
         self.label = label
         self._birth_fn = birth
         self._death_fn = death
-        self._memoize = memoize
         self._birth_memo: dict[int, Real] = {}
         self._death_memo: dict[int, Real] = {}
 
@@ -47,17 +45,15 @@ class RateModel:
             raise ValueError(
                 f"rate queried at n={n!r}; state 0 is absorbing and only n >= 1 is defined"
             )
-        if self._memoize:
-            cached = memo.get(n)
-            if cached is not None:
-                return cached
+        cached = memo.get(n)
+        if cached is not None:
+            return cached
         value = fn(n)
         if not isinstance(value, Real):
             raise TypeError(f"rate function returned {type(value).__name__}, expected Real")
         if not (value > 0):
             raise NonPositiveRateError(which, n, value.literal())
-        if self._memoize:
-            memo[n] = value
+        memo[n] = value
         return value
 
     def birth(self, n: int) -> Real:
@@ -85,7 +81,6 @@ def expr_model(
     mu_src: str,
     ctx: RealContext,
     label: str | None = None,
-    memoize: bool = True,
 ) -> RateModel:
     """Build a model from two expression strings over ``n``.
 
@@ -100,5 +95,4 @@ def expr_model(
         lambda n: rate_expr.eval_expr(birth_ast, n, ctx),
         lambda n: rate_expr.eval_expr(death_ast, n, ctx),
         label=label,
-        memoize=memoize,
     )

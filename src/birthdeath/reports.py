@@ -60,15 +60,19 @@ class HittingTimeReport:
     ``delta[i]`` is the expected time to first reach state i from state
     i+1; ``omega[i]`` the expected time to reach state 0 from state i,
     accumulated as the prefix sum of delta.  ``omega[0]`` is exactly 0.
-    ``per_delta_terms[i]`` reports how many series terms delta[i] took.
+    ``terms_used`` counts the terms of the one series that seeds delta at
+    the top index (0 when extinction is not certain, and no series is
+    summed); ``low_confidence`` flags an ``Infinite`` verdict reached
+    only at the term budget.
     """
 
     classification: str
     delta: list[Real]
     omega: list[Real]
     method: str
-    per_delta_terms: list[int]
+    terms_used: int
     violations: list[Violation] = field(default_factory=list)
+    low_confidence: bool = False
 
 
 def first_violation(violations: list[Violation]) -> Violation | None:

@@ -5,10 +5,10 @@ expected-passage-time series) runs through :func:`sum_positive_series`,
 which accumulates terms until it can defend one of three verdicts:
 
 * ``Converged`` -- the latest term is below ``rel_tol`` of the running
-  sum AND the last ``divergence_window`` consecutive term ratios were
+  sum AND the last ``DIVERGENCE_WINDOW`` consecutive term ratios were
   below 1, so the tail is a controlled geometric remainder.
-* ``Diverged`` -- ``divergence_window`` consecutive ratios at or above
-  ``divergence_ratio``, or the running sum overflowed; both are decisive.
+* ``Diverged`` -- ``DIVERGENCE_WINDOW`` consecutive ratios at or above 1,
+  or the running sum overflowed; both are decisive.
   Hitting the term budget with ratios straddling 1 while the tail test
   keeps failing is also reported as divergence, flagged low-confidence.
 * :class:`InconclusiveSeriesError` -- the term budget ran out with no
@@ -25,7 +25,13 @@ from typing import Iterator, Union
 from .arithmetic import Real, RealContext
 from .errors import InconclusiveSeriesError
 
-__all__ = ["SeriesPolicy", "Converged", "Diverged", "SeriesOutcome", "sum_positive_series"]
+__all__ = [
+    "DIVERGENCE_WINDOW", "SeriesPolicy", "Converged", "Diverged", "SeriesOutcome",
+    "sum_positive_series",
+]
+
+# consecutive term ratios that must agree before a ratio-based verdict
+DIVERGENCE_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -33,24 +39,17 @@ class SeriesPolicy:
     """Knobs deciding when a numerically summed series is settled.
 
     rel_tol: relative tail tolerance, 0 < rel_tol < 1.
-    max_terms: hard budget before giving up.
-    divergence_ratio: consecutive-term ratio counted as growth (>= 1).
-    divergence_window: how many consecutive ratios must agree before a
-        ratio-based verdict (max_terms >= window >= 1).
+    max_terms: hard budget before giving up (>= DIVERGENCE_WINDOW).
     """
 
     rel_tol: Real
     max_terms: int
-    divergence_ratio: Real
-    divergence_window: int
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.rel_tol < 1):
             raise ValueError("rel_tol must satisfy 0 < rel_tol < 1")
-        if self.divergence_ratio < 1:
-            raise ValueError("divergence_ratio must be >= 1")
-        if not (self.max_terms >= self.divergence_window >= 1):
-            raise ValueError("need max_terms >= divergence_window >= 1")
+        if self.max_terms < DIVERGENCE_WINDOW:
+            raise ValueError(f"max_terms must be >= {DIVERGENCE_WINDOW}")
 
     @classmethod
     def default(cls, ctx: RealContext) -> "SeriesPolicy":
@@ -59,12 +58,7 @@ class SeriesPolicy:
             rel_tol = ctx.real("1e-14")
         else:
             rel_tol = ctx.real(f"1e-{ctx.digits - 2}")
-        return cls(
-            rel_tol=rel_tol,
-            max_terms=10 ** 6,
-            divergence_ratio=ctx.one(),
-            divergence_window=64,
-        )
+        return cls(rel_tol=rel_tol, max_terms=10 ** 6)
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,6 @@ class Diverged:
 
 SeriesOutcome = Union[Converged, Diverged]
 
-# ratio categories relative to 1 and to the divergence threshold
-_BELOW_ONE, _BETWEEN, _GROWING = 0, 1, 2
-
 
 def sum_positive_series(
     terms: Iterator[Real], ctx: RealContext, policy: SeriesPolicy
@@ -96,11 +87,11 @@ def sum_positive_series(
     """
     total = ctx.zero()
     prev: Real | None = None
-    window = policy.divergence_window
-    recent: deque[int] = deque(maxlen=window)
+    window = DIVERGENCE_WINDOW
+    # whether each recent ratio was below 1 (True) or at least 1 (False)
+    recent: deque[bool] = deque(maxlen=window)
     below_streak = 0
     growing_streak = 0
-    ratio_is_plain = policy.divergence_ratio == 1
     count = 0
     it = iter(terms)
 
@@ -117,15 +108,10 @@ def sum_positive_series(
             if term.is_zero():
                 return Converged(total, count)
             if prev is not None:
-                if term < prev:
-                    cat = _BELOW_ONE
-                elif ratio_is_plain or term >= policy.divergence_ratio * prev:
-                    cat = _GROWING
-                else:
-                    cat = _BETWEEN
-                recent.append(cat)
-                below_streak = below_streak + 1 if cat == _BELOW_ONE else 0
-                growing_streak = growing_streak + 1 if cat == _GROWING else 0
+                below = term < prev
+                recent.append(below)
+                below_streak = below_streak + 1 if below else 0
+                growing_streak = 0 if below else growing_streak + 1
             total = total + term
         except OverflowError:
             return Diverged(count)
@@ -136,8 +122,8 @@ def sum_positive_series(
         prev = term
 
     # Budget exhausted without a streak verdict: judge the last window.
-    saw_below = any(c == _BELOW_ONE for c in recent)
-    saw_growth = any(c != _BELOW_ONE for c in recent)
+    saw_below = any(recent)
+    saw_growth = not all(recent)
     tail_failing = prev is not None and not (prev < policy.rel_tol * total)
     if saw_growth and not saw_below:
         # every recent ratio >= 1: the terms are not shrinking

@@ -62,7 +62,8 @@ def test_criterion_1_omega1_oracle():
 
 def test_criterion_2_breakdown_at_machine_precision():
     with timer(1.0):
-        report = omega_naive(expr_model("1", "n", MACHINE), 30, MACHINE)
+        model = expr_model("1", "n", MACHINE)
+        report = omega_naive(model, omega_stable(model, 30, MACHINE), MACHINE)
         first = first_violation(report.violations)
         assert first is not None
         assert first.index <= 25
@@ -71,7 +72,8 @@ def test_criterion_2_breakdown_at_machine_precision():
 def test_criterion_3_breakdown_at_70_digits():
     with timer(10.0):
         ctx = make_context("extended", 70)
-        report = omega_naive(expr_model("1", "n", ctx), 65, ctx)
+        model = expr_model("1", "n", ctx)
+        report = omega_naive(model, omega_stable(model, 65, ctx), ctx)
         first = first_violation(report.violations)
         assert first is not None
         assert 45 <= first.index <= 60
@@ -268,20 +270,24 @@ def test_criterion_9_determinism():
     assert [x.literal() for x in ext_a.a] == [x.literal() for x in ext_b.a]
     assert [x.literal() for x in ext_a.d] == [x.literal() for x in ext_b.d]
 
-    naive_a = extinction_probabilities_naive(expr_model("7", "1", MACHINE), 30, MACHINE)
-    naive_b = extinction_probabilities_naive(expr_model("7", "1", MACHINE), 30, MACHINE)
+    m7a = expr_model("7", "1", MACHINE)
+    m7b = expr_model("7", "1", MACHINE)
+    naive_a = extinction_probabilities_naive(m7a, extinction_probabilities(m7a, 30, MACHINE), MACHINE)
+    naive_b = extinction_probabilities_naive(m7b, extinction_probabilities(m7b, 30, MACHINE), MACHINE)
     assert [x.literal() for x in naive_a.a] == [x.literal() for x in naive_b.a]
     assert naive_a.violations == naive_b.violations
 
     time_a = omega_stable(model_a, 40, MACHINE)
     time_b = omega_stable(model_b, 40, MACHINE)
     assert [x.literal() for x in time_a.omega] == [x.literal() for x in time_b.omega]
-    assert time_a.per_delta_terms == time_b.per_delta_terms
+    assert time_a.terms_used == time_b.terms_used
 
     ctx70a = make_context("extended", 70)
     ctx70b = make_context("extended", 70)
-    n70a = omega_naive(expr_model("1", "n", ctx70a), 60, ctx70a)
-    n70b = omega_naive(expr_model("1", "n", ctx70b), 60, ctx70b)
+    m70a = expr_model("1", "n", ctx70a)
+    m70b = expr_model("1", "n", ctx70b)
+    n70a = omega_naive(m70a, omega_stable(m70a, 60, ctx70a), ctx70a)
+    n70b = omega_naive(m70b, omega_stable(m70b, 60, ctx70b), ctx70b)
     assert [x.literal() for x in n70a.omega] == [x.literal() for x in n70b.omega]
     assert n70a.violations == n70b.violations
 

@@ -78,7 +78,7 @@ def test_csv_time_format(capsys):
         capsys, "time", "--lambda", "1", "--mu", "2", "--imax", "2", "--format", "csv"
     )
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["index", "omega", "delta", "series_terms"]
+    assert rows[0] == ["index", "omega", "delta"]
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
 
 
@@ -251,7 +251,62 @@ def test_tol_flag_tightens_truncation(capsys):
     )
     loose = json.loads(out_loose)
     tight = json.loads(out_tight)
-    assert loose["per_delta_terms"][0] <= tight["per_delta_terms"][0]
+    assert loose["terms_used"] <= tight["terms_used"]
+
+
+def test_low_confidence_infinite_in_time_payload(capsys):
+    code, out, _ = run_cli(
+        capsys, "time", "--lambda", "1", "--mu", "1.25 - 0.75*(-1)^n",
+        "--imax", "3", "--max-terms", "1000", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classification"] == "Infinite"
+    assert payload["low_confidence"] is True
+    assert payload["terms_used"] == 1000
+
+
+def test_compare_computes_each_stable_report_once(capsys, monkeypatch):
+    import birthdeath.cli
+    import birthdeath.extinction
+    import birthdeath.hitting_time
+
+    calls = {"omega_stable": 0, "extinction_sum": 0}
+
+    def counted(name, *modules):
+        original = getattr(modules[0], name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:  # every site that looks the name up
+            monkeypatch.setattr(module, name, wrapper)
+
+    counted("omega_stable", birthdeath.cli, birthdeath.hitting_time)
+    counted("extinction_sum", birthdeath.extinction)
+    code, _, _ = run_cli(
+        capsys, "compare", "--lambda", "1", "--mu", "n", "--imax", "10",
+        "--quantity", "time", "--format", "json",
+    )
+    assert code == 0
+    assert calls["omega_stable"] == 1
+    calls["extinction_sum"] = 0
+    code, _, _ = run_cli(
+        capsys, "compare", "--lambda", "2", "--mu", "1", "--imax", "10",
+        "--quantity", "prob", "--format", "json",
+    )
+    assert code == 0
+    assert calls["extinction_sum"] == 1
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    for expr in ("(" * 2000 + "n" + ")" * 2000, "-" * 2000 + "n", "^".join(["n"] * 2000)):
+        code, out, err = run_cli(capsys, "time", "--lambda", "1", "--mu", expr)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: syntax error at offset")
+        assert err.count("\n") == 1
 
 
 def test_bad_tol_rejected(capsys):

@@ -86,15 +86,17 @@ def test_certain_case_is_exactly_all_ones(mctx):
 
 
 def test_naive_matches_stable_on_benign_model(mctx):
-    stable = extinction_probabilities(expr_model("2", "1", mctx), 3, mctx)
-    naive = extinction_probabilities_naive(expr_model("2", "1", mctx), 3, mctx)
+    model = expr_model("2", "1", mctx)
+    stable = extinction_probabilities(model, 3, mctx)
+    naive = extinction_probabilities_naive(model, stable, mctx)
     assert naive.method == NAIVE_RECURSION
     for s, n in zip(stable.a, naive.a):
         assert abs(float(s) - float(n)) <= 1e-10 * max(1.0, abs(float(s)))
 
 
 def test_naive_geometric_third_rates(mctx):
-    report = extinction_probabilities_naive(expr_model("3", "1", mctx), 4, mctx)
+    model = expr_model("3", "1", mctx)
+    report = extinction_probabilities_naive(model, extinction_probabilities(model, 4, mctx), mctx)
     expected = [oracles.geometric_extinction(3.0, 1.0, i) for i in range(5)]
     for ours, ref in zip(report.a, expected):
         assert abs(float(ours) - ref) < 1e-12
@@ -102,13 +104,15 @@ def test_naive_geometric_third_rates(mctx):
 
 
 def test_naive_divergent_sum_is_vacuous_all_ones(mctx):
-    report = extinction_probabilities_naive(expr_model("1", "2", mctx), 2, mctx)
+    model = expr_model("1", "2", mctx)
+    report = extinction_probabilities_naive(model, extinction_probabilities(model, 2, mctx), mctx)
     assert report.classification == CERTAIN
     assert [float(x) for x in report.a] == [1.0, 1.0, 1.0]
 
 
 def test_naive_out_of_range_values_are_recorded_not_clipped(mctx):
-    report = extinction_probabilities_naive(expr_model("7", "1", mctx), 40, mctx)
+    model = expr_model("7", "1", mctx)
+    report = extinction_probabilities_naive(model, extinction_probabilities(model, 40, mctx), mctx)
     assert report.violations, "expected drift below zero for this model"
     first = min(v.index for v in report.violations)
     assert first == 20
@@ -151,8 +155,9 @@ def test_one_step_balance_residual_invariant(mctx):
 
 def test_method_agreement_on_constant_models(mctx):
     for lam in ("2", "3", "1.6"):
-        stable = extinction_probabilities(expr_model(lam, "1", mctx), 10, mctx)
-        naive = extinction_probabilities_naive(expr_model(lam, "1", mctx), 10, mctx)
+        model = expr_model(lam, "1", mctx)
+        stable = extinction_probabilities(model, 10, mctx)
+        naive = extinction_probabilities_naive(model, stable, mctx)
         for s, n in zip(stable.a, naive.a):
             ref = abs(float(s))
             assert abs(float(s) - float(n)) <= 1e-10 * max(ref, 1e-30)

@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import Decimal
 
 import pytest
@@ -83,7 +84,8 @@ def test_omega_infinite_classification(mctx):
     assert float(report.omega[0]) == 0.0
     assert all(x.is_infinite() for x in report.omega[1:])
     assert all(x.is_infinite() for x in report.delta)
-    assert len(report.per_delta_terms) == 3
+    assert report.terms_used > 0
+    assert not report.low_confidence
 
 
 def test_omega_accumulates_prefix_sums_exactly(mctx):
@@ -100,31 +102,86 @@ def test_omega_monotone_when_finite(mctx):
         assert float(report.omega[i]) > float(report.omega[i - 1])
 
 
+@pytest.mark.parametrize("digits", [None, 40])
+@pytest.mark.parametrize("lam, mu", [("1", "n"), ("1", "n+1"), ("2+0.5*n", "n^1.5")])
+def test_stepped_deltas_match_independent_series(digits, lam, mu):
+    ctx = make_context("extended", digits) if digits else make_context("machine")
+    model = expr_model(lam, mu, ctx)
+    i_max = 200
+    report = omega_stable(model, i_max, ctx)
+    tol = Decimal(SeriesPolicy.default(ctx).rel_tol.literal())
+    for i in (0, 1, i_max // 4, i_max // 2, i_max - 1):
+        direct = delta_series(model, i, ctx)
+        assert oracles.rel_err_decimal(report.delta[i].literal(), direct.value.literal()) < tol
+
+
+@pytest.mark.parametrize("digits", [None, 40])
+def test_constant_rates_give_constant_delta(digits):
+    ctx = make_context("extended", digits) if digits else make_context("machine")
+    report = omega_stable(expr_model("2", "5", ctx), 50, ctx)
+    tol = Decimal(SeriesPolicy.default(ctx).rel_tol.literal())
+    exact = oracles.highprec().divide(Decimal(1), Decimal(3))
+    for d in report.delta:
+        assert oracles.rel_err_decimal(d.literal(), exact) < tol
+
+
+def test_omega_stable_sums_at_most_two_series(mctx, monkeypatch):
+    import birthdeath.extinction
+    import birthdeath.hitting_time
+
+    calls = []
+    for module in (birthdeath.extinction, birthdeath.hitting_time):
+        original = module.sum_positive_series
+        monkeypatch.setattr(
+            module, "sum_positive_series",
+            lambda *args, original=original: calls.append(1) or original(*args),
+        )
+    report = omega_stable(expr_model("1", "n", mctx), 500, mctx)
+    assert report.classification == FINITE
+    assert len(calls) == 2
+
+
+def test_low_confidence_infinite_is_reported(mctx):
+    # rate ratios alternate 2 and 1/2: the terms never shrink, yet never
+    # grow for a whole window, so divergence is only called at the budget
+    model = expr_model("1", "1.25 - 0.75*(-1)^n", mctx)
+    policy = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=1000)
+    report = omega_stable(model, 3, mctx, policy)
+    assert report.classification == INFINITE
+    assert report.low_confidence
+    assert report.terms_used == 1000
+
+
 def test_naive_benign_case_no_violations(mctx):
-    report = omega_naive(expr_model("1", "2", mctx), 5, mctx)
+    model = expr_model("1", "2", mctx)
+    report = omega_naive(model, omega_stable(model, 5, mctx), mctx)
     assert report.method == NAIVE_RECURSION
     assert [float(x) for x in report.omega] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     assert report.violations == []
 
 
 def test_naive_mirrors_refusals(mctx):
-    report = omega_naive(expr_model("2", "1", mctx), 2, mctx)
+    model = expr_model("2", "1", mctx)
+    report = omega_naive(model, omega_stable(model, 2, mctx), mctx)
     assert report.classification == NOT_CERTAIN_EXTINCTION
     assert report.method == NAIVE_RECURSION
-    inf_report = omega_naive(expr_model("1", "1", mctx), 2, mctx)
+    balanced = expr_model("1", "1", mctx)
+    inf_report = omega_naive(balanced, omega_stable(balanced, 2, mctx), mctx)
     assert inf_report.classification == INFINITE
 
 
 def test_naive_breakdown_at_machine_precision(mctx):
-    report = omega_naive(expr_model("1", "n", mctx), 30, mctx)
+    model = expr_model("1", "n", mctx)
+    report = omega_naive(model, omega_stable(model, 30, mctx), mctx)
     first = first_violation(report.violations)
     assert first is not None
     assert first.index <= 25
 
 
 def test_naive_agrees_with_stable_before_breakdown(mctx):
-    stable = omega_stable(expr_model("1", "n", mctx), 10, mctx)
-    naive = omega_naive(expr_model("1", "n", mctx), 10, mctx)
+    model = expr_model("1", "n", mctx)
+    stable = omega_stable(model, 10, mctx)
+    naive = omega_naive(model, stable, mctx)
     for i in range(1, 11):
         s, n = float(stable.omega[i]), float(naive.omega[i])
         assert abs(s - n) <= 1e-8 * s
@@ -206,7 +263,8 @@ def test_delta_independent_of_lower_rates(mctx):
 
 def test_naive_at_higher_precision_breaks_later():
     ctx = make_context("extended", 40)
-    report = omega_naive(expr_model("1", "n", ctx), 40, ctx)
+    model = expr_model("1", "n", ctx)
+    report = omega_naive(model, omega_stable(model, 40, ctx), ctx)
     first = first_violation(report.violations)
     assert first is not None
     assert 25 <= first.index <= 40

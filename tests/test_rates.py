@@ -6,7 +6,6 @@ from birthdeath import (
     RateModel,
     constant_model,
     expr_model,
-    omega_stable,
 )
 
 
@@ -57,15 +56,6 @@ def test_state_zero_is_never_answered(mctx):
 def test_memoization_returns_identical_objects(mctx):
     m = expr_model("1", "n", mctx)
     assert m.death(9) is m.death(9)
-
-
-def test_memoization_transparency(mctx):
-    with_memo = expr_model("1", "n", mctx, memoize=True)
-    without = expr_model("1", "n", mctx, memoize=False)
-    a = omega_stable(with_memo, 5, mctx)
-    b = omega_stable(without, 5, mctx)
-    assert [x.literal() for x in a.omega] == [x.literal() for x in b.omega]
-    assert a.per_delta_terms == b.per_delta_terms
 
 
 def test_positivity_fails_before_contaminating_a_series(mctx):

@@ -3,7 +3,13 @@ import dataclasses
 import pytest
 
 from birthdeath import InconclusiveSeriesError, make_context
-from birthdeath.series import Converged, Diverged, SeriesPolicy, sum_positive_series
+from birthdeath.series import (
+    DIVERGENCE_WINDOW,
+    Converged,
+    Diverged,
+    SeriesPolicy,
+    sum_positive_series,
+)
 
 
 def _terms_from_ratios(ctx, first, ratio_fn):
@@ -21,8 +27,6 @@ def test_default_policy_machine(mctx):
     p = SeriesPolicy.default(mctx)
     assert float(p.rel_tol) == 1e-14
     assert p.max_terms == 10 ** 6
-    assert float(p.divergence_ratio) == 1.0
-    assert p.divergence_window == 64
 
 
 def test_default_policy_extended_scales_with_digits():
@@ -37,11 +41,7 @@ def test_policy_validation(mctx):
     with pytest.raises(ValueError):
         dataclasses.replace(ok, rel_tol=mctx.real(2))
     with pytest.raises(ValueError):
-        dataclasses.replace(ok, divergence_ratio=mctx.real("0.5"))
-    with pytest.raises(ValueError):
         dataclasses.replace(ok, max_terms=10)  # < window
-    with pytest.raises(ValueError):
-        dataclasses.replace(ok, divergence_window=0)
 
 
 def test_geometric_convergence_terminates_at_window(mctx):
@@ -49,7 +49,7 @@ def test_geometric_convergence_terminates_at_window(mctx):
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "0.5"), mctx, p)
     assert isinstance(out, Converged)
     # ratio streak needs window+1 terms; the tail test passed long before
-    assert out.terms == p.divergence_window + 1
+    assert out.terms == DIVERGENCE_WINDOW + 1
     assert float(out.total) == 2.0
 
 
@@ -58,7 +58,7 @@ def test_geometric_divergence_terminates_at_window(mctx):
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "2"), mctx, p)
     assert isinstance(out, Diverged)
     assert not out.low_confidence
-    assert out.terms == p.divergence_window + 1
+    assert out.terms == DIVERGENCE_WINDOW + 1
 
 
 def test_factorial_divergence(mctx):
@@ -106,7 +106,7 @@ def test_overflowing_terms_diverge(mctx):
     p = SeriesPolicy.default(mctx)
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "1e30"), mctx, p)
     assert isinstance(out, Diverged)
-    assert out.terms < p.divergence_window
+    assert out.terms < DIVERGENCE_WINDOW
 
 
 def test_exhausted_finite_iterator_is_inconclusive(mctx):
@@ -117,15 +117,12 @@ def test_exhausted_finite_iterator_is_inconclusive(mctx):
         sum_positive_series(gen(), mctx, SeriesPolicy.default(mctx))
 
 
-def test_all_growing_window_diverges_with_threshold_above_one(mctx):
-    # ratios steady at 1.01, below the 1.5 threshold: not a streak verdict,
-    # but at exhaustion every recent ratio is >= 1, which is decisive
-    p = dataclasses.replace(
-        SeriesPolicy.default(mctx),
-        divergence_ratio=mctx.real("1.5"),
-        max_terms=500,
-    )
+def test_all_growing_window_diverges_at_budget(mctx):
+    # ratios steady at 1.01 with a budget of one window: the 63 ratios seen
+    # fall one short of a streak verdict, but at exhaustion every recent
+    # ratio is >= 1, which is decisive
+    p = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=DIVERGENCE_WINDOW)
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "1.01"), mctx, p)
     assert isinstance(out, Diverged)
     assert not out.low_confidence
-    assert out.terms == 500
+    assert out.terms == DIVERGENCE_WINDOW
