@@ -42,7 +42,9 @@ _VARIABLE = "n"
 # Every recursive cycle of the grammar (parentheses, function arguments,
 # unary minus, exponents) passes through ``unary``; nesting it deeper than
 # this is refused as a syntax error before the interpreter's recursion
-# limit turns it into a crash.
+# limit turns it into a crash.  Flat chains such as ``1+1+...+1`` are built
+# in a loop but evaluate and print recursively, so the depth of the built
+# tree is capped at the same level.
 _MAX_DEPTH = 100
 
 
@@ -222,9 +224,27 @@ def parse(text: str) -> RateExpr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ExprSyntaxError` (with byte offset) on malformed input,
-    unknown identifiers, or wrong function arity.
+    unknown identifiers, wrong function arity, or a tree deeper than
+    ``_MAX_DEPTH`` nodes.
     """
-    return _Parser(text).parse()
+    tree = _Parser(text).parse()
+    _check_depth(tree)
+    return tree
+
+
+def _check_depth(tree: RateExpr) -> None:
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", node.pos)
+        if isinstance(node, Unary):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Binary):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+        elif isinstance(node, Call):
+            stack.extend((arg, depth + 1) for arg in node.args)
 
 
 def eval_expr(expr: RateExpr, n: int, ctx: RealContext) -> Real:

@@ -13,7 +13,8 @@ which accumulates terms until it can defend one of three verdicts:
   keeps failing is also reported as divergence, flagged low-confidence.
 * :class:`InconclusiveSeriesError` -- the term budget ran out with no
   defensible verdict (e.g. harmonic-like terms that shrink but whose sum
-  still grows); the caller must choose, not the summator.
+  still grows), or a term underflowed to zero; the caller must choose,
+  not the summator.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def sum_positive_series(
 ) -> SeriesOutcome:
     """Sum a series of positive terms under ``policy``.
 
-    The iterator must yield terms in order; a term equal to zero ends the
-    series immediately (at working precision the remaining tail is exactly
-    zero, since term recurrences only multiply).
+    The iterator must yield terms in order.  Terms are products of
+    strictly positive rates, so a term equal to zero can only have
+    underflowed; the terms after it are unknown and may grow again, so it
+    raises :class:`InconclusiveSeriesError` rather than ending the sum.
     """
     total = ctx.zero()
     prev: Real | None = None
@@ -106,7 +108,9 @@ def sum_positive_series(
         count += 1
         try:
             if term.is_zero():
-                return Converged(total, count)
+                raise InconclusiveSeriesError(
+                    count, f"series term {count} underflowed to zero; raise the precision"
+                )
             if prev is not None:
                 below = term < prev
                 recent.append(below)

@@ -196,6 +196,31 @@ def test_simulate_deterministic_output(capsys):
     assert payload["seed"] == 9
 
 
+def test_simulate_queries_rates_only_at_reached_states(capsys):
+    # mu is not positive at n >= 24 (first) and n <= 3 (second); no run gets there
+    for argv in (("--lambda", "1", "--mu", "24-n", "--start", "12"),
+                 ("--lambda", "100", "--mu", "n-3", "--start", "12", "--time-cap", "0.05")):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["runs"] == 100_000
+    code, out, err = run_cli(
+        capsys, "simulate", "--lambda", "5", "--mu", "24-n", "--start", "20", "--runs", "100"
+    )
+    assert code == 1
+    assert err == "error: rate mu(n=24) = 0.0 is not positive; rates must be > 0\n"
+
+
+def test_underflowed_series_term_is_not_convergence(capsys):
+    # the terms underflow to 0 at machine precision, then grow without bound
+    argv = ("prob", "--lambda", "1", "--mu", "1e-300*n^400", "--imax", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["classification"] == "Inconclusive"
+    code, out, _ = run_cli(capsys, *argv, "--digits", "30")
+    assert code == 0
+    assert json.loads(out)["classification"] == "Certain"
+
+
 def test_exit_code_1_on_usage_error(capsys):
     code, _, err = run_cli(capsys, "prob", "--lambda", "1")
     assert code == 1
@@ -301,7 +326,8 @@ def test_compare_computes_each_stable_report_once(capsys, monkeypatch):
 
 
 def test_deep_nesting_is_a_syntax_error(capsys):
-    for expr in ("(" * 2000 + "n" + ")" * 2000, "-" * 2000 + "n", "^".join(["n"] * 2000)):
+    for expr in ("(" * 2000 + "n" + ")" * 2000, "-" * 2000 + "n", "^".join(["n"] * 2000),
+                 "+".join(["1"] * 2000), "*".join(["1"] * 2000)):
         code, out, err = run_cli(capsys, "time", "--lambda", "1", "--mu", expr)
         assert code == 1
         assert out == ""

@@ -58,6 +58,14 @@ def test_syntax_error_offsets():
     assert exc_info.value.offset == 6
 
 
+def test_flat_chain_depth_is_capped():
+    ctx = make_context("machine")
+    for op, value in (("+", 100.0), ("*", 1.0)):
+        assert float(eval_expr(parse(op.join(["1"] * 100)), 0, ctx)) == value
+        with pytest.raises(ExprSyntaxError, match="deeper than 100"):
+            parse(op.join(["1"] * 101))
+
+
 def test_function_arity_checked():
     with pytest.raises(ExprSyntaxError):
         parse("min(1)")

@@ -92,14 +92,14 @@ def test_straddling_ratios_reported_low_confidence(mctx):
 
 
 def test_zero_term_short_circuits(mctx):
+    # rates are positive, so a zero term underflowed: the tail is unknown
     def gen():
         yield mctx.one()
         yield mctx.zero()
         raise AssertionError("must not be pulled past a zero term")
-    out = sum_positive_series(gen(), mctx, SeriesPolicy.default(mctx))
-    assert isinstance(out, Converged)
-    assert float(out.total) == 1.0
-    assert out.terms == 2
+    with pytest.raises(InconclusiveSeriesError, match="underflowed") as info:
+        sum_positive_series(gen(), mctx, SeriesPolicy.default(mctx))
+    assert info.value.terms == 2
 
 
 def test_overflowing_terms_diverge(mctx):
