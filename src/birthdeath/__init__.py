@@ -30,9 +30,6 @@ from .extinction import (
     pi_product,
 )
 from .hitting_time import (
-    DeltaOutcome,
-    Finite,
-    Infinite,
     delta_residual,
     delta_series,
     omega_naive,
@@ -69,8 +66,8 @@ __all__ = [
     "SeriesPolicy", "Converged", "Diverged", "SeriesOutcome",
     "pi_product", "extinction_sum", "extinction_probabilities",
     "extinction_probabilities_naive",
-    "Finite", "Infinite", "DeltaOutcome", "delta_series", "omega_stable",
-    "omega_naive", "recurrence_residual", "delta_residual",
+    "delta_series", "omega_stable", "omega_naive", "recurrence_residual",
+    "delta_residual",
     "TrajectoryStats", "simulate",
     "ExtinctionReport", "HittingTimeReport", "Violation", "first_violation",
     "CERTAIN", "UNCERTAIN", "FINITE", "INFINITE", "NOT_CERTAIN_EXTINCTION",

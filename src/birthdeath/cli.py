@@ -20,17 +20,11 @@ import sys
 import click
 
 from .arithmetic import EXTENDED, MACHINE, make_context
-from .errors import (
-    ExprEvalError,
-    ExprSyntaxError,
-    InconclusiveSeriesError,
-    NonPositiveRateError,
-    PrecisionError,
-)
+from .errors import ExprEvalError, InconclusiveSeriesError
 from .extinction import extinction_probabilities, extinction_probabilities_naive
 from .hitting_time import omega_naive, omega_stable
 from .rates import expr_model
-from .reports import NAIVE_RECURSION, STABLE_SERIES, first_violation
+from .reports import INCONCLUSIVE, NAIVE_RECURSION, STABLE_SERIES, first_violation
 from .series import SeriesPolicy
 from .simulate import simulate as run_simulation
 from . import output
@@ -94,56 +88,50 @@ def cli():
     """
 
 
-@cli.command()
-@_model_options
-@click.option("--imax", type=int, default=10, show_default=True,
-              help="Largest start state reported.")
-@click.option("--digits", type=int, default=None,
-              help="Extended precision digits (>= 15); default machine.")
-@_series_options
-@click.option("--naive", is_flag=True, help="Use the forward recursion instead.")
-@_format_option
-@click.pass_context
-def prob(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive, fmt):
-    """Extinction probabilities a[0..imax]."""
-    ctx = _context(digits)
-    model = expr_model(lambda_src, mu_src, ctx)
-    policy = _policy(ctx, tol, max_terms)
-    method = NAIVE_RECURSION if naive else STABLE_SERIES
-    try:
-        report = extinction_probabilities(model, imax, ctx, policy)
-    except InconclusiveSeriesError as exc:
-        _emit(output.inconclusive_payload("prob", lambda_src, mu_src, ctx, exc.terms, method), fmt)
-        click_ctx.exit(2)
-    if naive:
-        report = extinction_probabilities_naive(model, report, ctx)
-    _emit(output.extinction_payload(report, lambda_src, mu_src, ctx), fmt)
+def _reports(quantity: str, model, imax: int, ctx, policy: SeriesPolicy, naive: bool):
+    """The stable report for ``quantity`` and, if ``naive``, the naive one built from it.
+
+    Engines are looked up as module globals on every call, so wrappers
+    installed on this module see each engine call.
+    """
+    if quantity == "time":
+        stable = omega_stable(model, imax, ctx, policy)
+        return stable, omega_naive(model, stable, ctx) if naive else None
+    stable = extinction_probabilities(model, imax, ctx, policy)
+    return stable, extinction_probabilities_naive(model, stable, ctx) if naive else None
 
 
-@cli.command("time")
-@_model_options
-@click.option("--imax", type=int, default=10, show_default=True,
-              help="Largest start state reported.")
-@click.option("--digits", type=int, default=None,
-              help="Extended precision digits (>= 15); default machine.")
-@_series_options
-@click.option("--naive", is_flag=True, help="Use the forward recursion instead.")
-@_format_option
-@click.pass_context
-def time_cmd(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive, fmt):
-    """Expected times to extinction omega[0..imax]."""
-    ctx = _context(digits)
-    model = expr_model(lambda_src, mu_src, ctx)
-    policy = _policy(ctx, tol, max_terms)
-    method = NAIVE_RECURSION if naive else STABLE_SERIES
-    try:
-        report = omega_stable(model, imax, ctx, policy)
-    except InconclusiveSeriesError as exc:
-        _emit(output.inconclusive_payload("time", lambda_src, mu_src, ctx, exc.terms, method), fmt)
-        click_ctx.exit(2)
-    if naive:
-        report = omega_naive(model, report, ctx)
-    _emit(output.hitting_payload(report, lambda_src, mu_src, ctx), fmt)
+def _quantity_command(quantity: str, summary: str):
+    """The ``prob`` or ``time`` command: one quantity, stable or naive."""
+
+    @cli.command(quantity, help=summary)
+    @_model_options
+    @click.option("--imax", type=int, default=10, show_default=True,
+                  help="Largest start state reported.")
+    @click.option("--digits", type=int, default=None,
+                  help="Extended precision digits (>= 15); default machine.")
+    @_series_options
+    @click.option("--naive", is_flag=True, help="Use the forward recursion instead.")
+    @_format_option
+    @click.pass_context
+    def command(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive, fmt):
+        ctx = _context(digits)
+        model = expr_model(lambda_src, mu_src, ctx)
+        policy = _policy(ctx, tol, max_terms)
+        try:
+            stable, naive_report = _reports(quantity, model, imax, ctx, policy, naive)
+        except InconclusiveSeriesError as exc:
+            method = NAIVE_RECURSION if naive else STABLE_SERIES
+            _emit(output.inconclusive_payload(quantity, lambda_src, mu_src, ctx, exc.terms, method), fmt)
+            click_ctx.exit(2)
+        payload = output.hitting_payload if quantity == "time" else output.extinction_payload
+        _emit(payload(naive_report if naive else stable, lambda_src, mu_src, ctx), fmt)
+
+    return command
+
+
+prob = _quantity_command("prob", "Extinction probabilities a[0..imax].")
+time_cmd = _quantity_command("time", "Expected times to extinction omega[0..imax].")
 
 
 @cli.command()
@@ -162,19 +150,13 @@ def compare(click_ctx, lambda_src, mu_src, imax, digits, quantity, tol, max_term
     model = expr_model(lambda_src, mu_src, ctx)
     policy = _policy(ctx, tol, max_terms)
     try:
-        if quantity == "time":
-            stable = omega_stable(model, imax, ctx, policy)
-            naive = omega_naive(model, stable, ctx)
-            stable_values, naive_values = stable.omega, naive.omega
-        else:
-            stable = extinction_probabilities(model, imax, ctx, policy)
-            naive = extinction_probabilities_naive(model, stable, ctx)
-            stable_values, naive_values = stable.a, naive.a
+        stable, naive = _reports(quantity, model, imax, ctx, policy, naive=True)
     except InconclusiveSeriesError as exc:
         _emit(output.inconclusive_payload(quantity, lambda_src, mu_src, ctx, exc.terms, STABLE_SERIES), fmt)
         click_ctx.exit(2)
+    key = "omega" if quantity == "time" else "a"
     payload = output.compare_payload(
-        quantity, stable_values, naive_values, naive.violations,
+        quantity, getattr(stable, key), getattr(naive, key), naive.violations,
         stable.classification, lambda_src, mu_src, ctx,
     )
     _emit(payload, fmt)
@@ -226,22 +208,16 @@ def demo_instability(click_ctx, lambda_src, mu_src, imax, digits_list, tol, max_
         model = expr_model(lambda_src, mu_src, ctx)
         policy = _policy(ctx, tol, max_terms)
         try:
-            report = omega_naive(model, omega_stable(model, imax, ctx, policy), ctx)
+            _, report = _reports("time", model, imax, ctx, policy, naive=True)
         except InconclusiveSeriesError:
-            entries.append({
-                "mode": ctx.mode,
-                "digits": ctx.digits,
-                "classification": "Inconclusive",
-                "first_violation_index": None,
-                "first_violation_kind": None,
-            })
             inconclusive = True
-            continue
-        first = first_violation(report.violations)
+            classification, first = INCONCLUSIVE, None
+        else:
+            classification, first = report.classification, first_violation(report.violations)
         entries.append({
             "mode": ctx.mode,
             "digits": ctx.digits,
-            "classification": report.classification,
+            "classification": classification,
             "first_violation_index": first.index if first else None,
             "first_violation_kind": first.kind if first else None,
         })
@@ -262,10 +238,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (ExprSyntaxError, ExprEvalError, NonPositiveRateError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+    # one-line errors: the package's own are ValueErrors but ExprEvalError;
+    # InconclusiveSeriesError, also an ArithmeticError, must not land here,
+    # since the commands answer it with a report
+    except (ValueError, ExprEvalError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

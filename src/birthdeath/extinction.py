@@ -19,6 +19,8 @@ out-of-range values instead of repairing them.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import accumulate, islice
+from operator import sub
 from typing import Iterator
 
 from .arithmetic import Real, RealContext
@@ -46,10 +48,7 @@ def pi_product(model: RateModel, k: int, ctx: RealContext) -> Real:
     """Product of death(n)/birth(n) over n = 1..k-1; 1 for k = 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    value = ctx.one()
-    for n in range(1, k):
-        value = value * model.death(n) / model.birth(n)
-    return value
+    return next(islice(_pi_terms(model, ctx), k - 1, None))
 
 
 def _pi_terms(model: RateModel, ctx: RealContext) -> Iterator[Real]:
@@ -93,19 +92,11 @@ def extinction_probabilities(
             low_confidence=outcome.low_confidence,
         )
     total = outcome.total
-    a = [ctx.one()]
-    d = []
-    pi = ctx.one()
-    for i in range(1, i_max + 1):
-        if i > 1:
-            pi = pi * model.death(i - 1) / model.birth(i - 1)
-        d_i = pi / total
-        d.append(d_i)
-        a.append(a[-1] - d_i)
+    d = [pi / total for pi in islice(_pi_terms(model, ctx), i_max)]
     return ExtinctionReport(
         classification=UNCERTAIN,
         series_sum=total,
-        a=a,
+        a=list(accumulate(d, sub, initial=ctx.one())),
         d=d,
         terms_used=outcome.terms,
         method=STABLE_SERIES,

@@ -43,9 +43,9 @@ zero; :func:`delta_residual` makes that checkable numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import accumulate
-from typing import Iterator, Union
+from typing import Iterator
 
 from .arithmetic import Real, RealContext
 from .rates import RateModel
@@ -62,34 +62,16 @@ from .reports import (
     HittingTimeReport,
     Violation,
 )
-from .series import Converged, SeriesPolicy, sum_positive_series
+from .series import Converged, Diverged, SeriesOutcome, SeriesPolicy, sum_positive_series
 from .extinction import extinction_sum
 
 __all__ = [
-    "Finite",
-    "Infinite",
-    "DeltaOutcome",
     "delta_series",
     "omega_stable",
     "omega_naive",
     "recurrence_residual",
     "delta_residual",
 ]
-
-
-@dataclass(frozen=True)
-class Finite:
-    value: Real
-    terms: int
-
-
-@dataclass(frozen=True)
-class Infinite:
-    terms: int
-    low_confidence: bool = False
-
-
-DeltaOutcome = Union[Finite, Infinite]
 
 
 def _delta_terms(model: RateModel, i: int, ctx: RealContext) -> Iterator[Real]:
@@ -104,20 +86,17 @@ def _delta_terms(model: RateModel, i: int, ctx: RealContext) -> Iterator[Real]:
 
 def delta_series(
     model: RateModel, i: int, ctx: RealContext, policy: SeriesPolicy | None = None
-) -> DeltaOutcome:
+) -> SeriesOutcome:
     """Expected first-passage time from state i+1 down to state i.
 
-    Only queries rates at states strictly above i.  Divergence of the
-    series means the expected time is infinite.
+    Only queries rates at states strictly above i.  ``Converged`` carries
+    the time as its total; ``Diverged`` means the expected time is infinite.
     """
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i}")
     if policy is None:
         policy = SeriesPolicy.default(ctx)
-    outcome = sum_positive_series(_delta_terms(model, i, ctx), ctx, policy)
-    if isinstance(outcome, Converged):
-        return Finite(outcome.total, outcome.terms)
-    return Infinite(outcome.terms, outcome.low_confidence)
+    return sum_positive_series(_delta_terms(model, i, ctx), ctx, policy)
 
 
 def omega_stable(
@@ -148,7 +127,7 @@ def omega_stable(
             terms_used=0,
         )
     top = delta_series(model, i_max - 1, ctx, policy)
-    if isinstance(top, Infinite):
+    if isinstance(top, Diverged):
         inf = ctx.infinity()
         return HittingTimeReport(
             classification=INFINITE,
@@ -159,7 +138,7 @@ def omega_stable(
             low_confidence=top.low_confidence,
         )
     one = ctx.one()
-    delta = [top.value]
+    delta = [top.total]
     for i in range(i_max - 1, 0, -1):
         delta.append((one + model.birth(i) * delta[-1]) / model.death(i))
     delta.reverse()

@@ -16,6 +16,7 @@ import math
 
 from .arithmetic import Real, RealContext
 from .reports import (
+    INCONCLUSIVE,
     ExtinctionReport,
     HittingTimeReport,
     Violation,
@@ -59,42 +60,53 @@ def _violations_payload(violations: list[Violation]) -> list:
     return [{"index": v.index, "kind": v.kind} for v in violations]
 
 
+def _report_payload(
+    lambda_src: str,
+    mu_src: str,
+    ctx: RealContext,
+    method: str,
+    classification: str,
+    arrays: dict[str, list[Real]],
+    violations: list[Violation],
+    terms_used: int,
+    series_sum: Real | None = None,
+    low_confidence: bool = False,
+) -> dict:
+    """The report shell of ``prob`` and ``time``; its key order is part of the output."""
+    payload = {
+        "model": {"lambda": lambda_src, "mu": mu_src},
+        "method": method,
+        "classification": classification,
+        "precision": precision_payload(ctx),
+        **{key: [fmt(x) for x in values] for key, values in arrays.items()},
+        "violations": _violations_payload(violations),
+        "terms_used": terms_used,
+    }
+    if series_sum is not None:
+        payload["series_sum"] = fmt(series_sum)
+    if low_confidence:
+        payload["low_confidence"] = True
+    return payload
+
+
 def extinction_payload(
     report: ExtinctionReport, lambda_src: str, mu_src: str, ctx: RealContext
 ) -> dict:
-    payload = {
-        "model": {"lambda": lambda_src, "mu": mu_src},
-        "method": report.method,
-        "classification": report.classification,
-        "precision": precision_payload(ctx),
-        "a": [fmt(x) for x in report.a],
-        "d": [fmt(x) for x in report.d],
-        "violations": _violations_payload(report.violations),
-        "terms_used": report.terms_used,
-    }
-    if report.series_sum is not None:
-        payload["series_sum"] = fmt(report.series_sum)
-    if report.low_confidence:
-        payload["low_confidence"] = True
-    return payload
+    return _report_payload(
+        lambda_src, mu_src, ctx, report.method, report.classification,
+        {"a": report.a, "d": report.d}, report.violations, report.terms_used,
+        report.series_sum, report.low_confidence,
+    )
 
 
 def hitting_payload(
     report: HittingTimeReport, lambda_src: str, mu_src: str, ctx: RealContext
 ) -> dict:
-    payload = {
-        "model": {"lambda": lambda_src, "mu": mu_src},
-        "method": report.method,
-        "classification": report.classification,
-        "precision": precision_payload(ctx),
-        "delta": [fmt(x) for x in report.delta],
-        "omega": [fmt(x) for x in report.omega],
-        "violations": _violations_payload(report.violations),
-        "terms_used": report.terms_used,
-    }
-    if report.low_confidence:
-        payload["low_confidence"] = True
-    return payload
+    return _report_payload(
+        lambda_src, mu_src, ctx, report.method, report.classification,
+        {"delta": report.delta, "omega": report.omega}, report.violations,
+        report.terms_used, low_confidence=report.low_confidence,
+    )
 
 
 def inconclusive_payload(
@@ -102,16 +114,7 @@ def inconclusive_payload(
 ) -> dict:
     """Report shell for runs the series machinery refused to decide."""
     arrays = {"a": [], "d": []} if kind == "prob" else {"delta": [], "omega": []}
-    payload = {
-        "model": {"lambda": lambda_src, "mu": mu_src},
-        "method": method,
-        "classification": "Inconclusive",
-        "precision": precision_payload(ctx),
-        **arrays,
-        "violations": [],
-        "terms_used": terms,
-    }
-    return payload
+    return _report_payload(lambda_src, mu_src, ctx, method, INCONCLUSIVE, arrays, [], terms)
 
 
 def simulate_payload(stats: TrajectoryStats, lambda_src: str, mu_src: str) -> dict:
@@ -210,8 +213,9 @@ def payload_csv(payload: dict) -> str:
         key = "omega" if payload["quantity"] == "time" else "a"
         stable, naive = payload["stable"][key], payload["naive"][key]
         dev = payload["relative_deviation"]
+        # the naive recursion stops at an overflow, so its column can be short
         rows = [
-            [i, stable[i], naive[i], dev[i] if i < len(dev) else ""]
+            [i, stable[i], naive[i] if i < len(naive) else "", dev[i] if i < len(dev) else ""]
             for i in range(len(stable))
         ]
         return _csv_text(["index", f"stable_{key}", f"naive_{key}", "relative_deviation"], rows)

@@ -65,23 +65,17 @@ class RateModel:
         return self._query("mu", self._death_fn, self._death_memo, n)
 
 
-def constant_model(lam: Real, mu: Real, label: str | None = None) -> RateModel:
+def constant_model(lam: Real, mu: Real) -> RateModel:
     """State-independent rates; rejects non-positive values up front."""
     if not (lam > 0):
         raise NonPositiveRateError("lambda", None, lam.literal())
     if not (mu > 0):
         raise NonPositiveRateError("mu", None, mu.literal())
-    if label is None:
-        label = f"constant lambda={lam.literal()} mu={mu.literal()}"
+    label = f"constant lambda={lam.literal()} mu={mu.literal()}"
     return RateModel(lambda n: lam, lambda n: mu, label=label)
 
 
-def expr_model(
-    lambda_src: str,
-    mu_src: str,
-    ctx: RealContext,
-    label: str | None = None,
-) -> RateModel:
+def expr_model(lambda_src: str, mu_src: str, ctx: RealContext) -> RateModel:
     """Build a model from two expression strings over ``n``.
 
     Parse errors surface immediately; domain errors and positivity
@@ -89,10 +83,8 @@ def expr_model(
     """
     birth_ast = rate_expr.parse(lambda_src)
     death_ast = rate_expr.parse(mu_src)
-    if label is None:
-        label = f"lambda={lambda_src} mu={mu_src}"
     return RateModel(
         lambda n: rate_expr.eval_expr(birth_ast, n, ctx),
         lambda n: rate_expr.eval_expr(death_ast, n, ctx),
-        label=label,
+        label=f"lambda={lambda_src} mu={mu_src}",
     )

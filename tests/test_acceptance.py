@@ -258,7 +258,7 @@ def test_criterion_8_residual_property_suites():
             perturbed = RateModel(perturbed_birth, perturbed_death)
             a = delta_series(base, i, MACHINE, policy)
             b = delta_series(perturbed, i, MACHINE, policy)
-            assert a.value.literal() == b.value.literal()
+            assert a.total.literal() == b.total.literal()
             assert a.terms == b.terms
 
 

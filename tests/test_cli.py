@@ -3,6 +3,8 @@ import io
 import json
 from decimal import Decimal
 
+import pytest
+
 from birthdeath.cli import main
 
 import oracles
@@ -153,6 +155,21 @@ def test_compare_handles_infinite_times(capsys):
     assert payload["stable"]["omega"][1] == "inf"
     assert payload["relative_deviation"][1] == "0.0"
 
+
+def test_compare_leaves_naive_cells_empty_past_the_naive_overflow(capsys):
+    # the naive recursion overflows at index 179, so its column has 179 entries
+    argv = ["compare", "--lambda", "1", "--mu", "n", "--imax", "300"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 301
+    assert all(row[1] for row in rows)
+    assert [row[0] for row in rows if row[2] == row[3] == ""] == [str(i) for i in range(179, 301)]
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    rows = [line.split() for line in out.split("\n\n", 1)[1].splitlines()[1:]]
+    assert len(rows) == 301
+    assert [row[0] for row in rows if len(row) == 2] == [str(i) for i in range(179, 301)]
 
 def test_demo_instability_json(capsys):
     code, out, _ = run_cli(
@@ -355,3 +372,238 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "demo-instability" in out
+
+
+# Exact exit status, stdout and stderr of small requests that together reach
+# every payload builder and every output format: the CLI and the report
+# payloads may be restructured, but not one byte of these may change.
+_PINNED = [
+    ('prob --lambda 2 --mu 1 --imax 3 --format json', 0,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "2",\n'
+        '    "mu": "1"\n'
+        '  },\n'
+        '  "method": "StableSeries",\n'
+        '  "classification": "Uncertain",\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "a": [\n'
+        '    "1.0",\n'
+        '    "0.5",\n'
+        '    "0.25",\n'
+        '    "0.125"\n'
+        '  ],\n'
+        '  "d": [\n'
+        '    "0.5",\n'
+        '    "0.25",\n'
+        '    "0.125"\n'
+        '  ],\n'
+        '  "violations": [],\n'
+        '  "terms_used": 65,\n'
+        '  "series_sum": "2.0"\n'
+        '}\n',
+        ''),
+    ('prob --lambda 3 --mu 1.1 --imax 3 --naive --format table', 0,
+        'model: lambda = 3   mu = 1.1\n'
+        'precision: machine\n'
+        'method: NaiveRecursion\n'
+        'classification: Uncertain\n'
+        'series_sum: 1.5789473684210533\n'
+        'terms_used: 65\n'
+        '\n'
+        'index  a                    d\n'
+        '0      1.0\n'
+        '1      0.3666666666666669   0.6333333333333331\n'
+        '2      0.1344444444444448   0.2322222222222221\n'
+        '3      0.04929629629629667  0.08514814814814814\n',
+        ''),
+    ('prob --lambda 2 --mu 1 --imax 2 --digits 30 --format csv', 0,
+        'index,a,d\r\n'
+        '0,1,\r\n'
+        '1,0.499999999999999999999999999975,0.500000000000000000000000000025\r\n'
+        '2,0.249999999999999999999999999962,0.250000000000000000000000000013\r\n',
+        ''),
+    ('time --lambda 1 --mu n --imax 3 --format json', 0,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "1",\n'
+        '    "mu": "n"\n'
+        '  },\n'
+        '  "method": "StableSeries",\n'
+        '  "classification": "Finite",\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "delta": [\n'
+        '    "1.718281828459045",\n'
+        '    "0.7182818284590452",\n'
+        '    "0.4365636569180904"\n'
+        '  ],\n'
+        '  "omega": [\n'
+        '    "0.0",\n'
+        '    "1.718281828459045",\n'
+        '    "2.43656365691809",\n'
+        '    "2.8731273138361804"\n'
+        '  ],\n'
+        '  "violations": [],\n'
+        '  "terms_used": 65\n'
+        '}\n',
+        ''),
+    ('time --lambda 1 --mu n --imax 3 --naive --format csv', 0,
+        'index,omega,delta\r\n'
+        '0,0.0,1.718281828459045\r\n'
+        '1,1.718281828459045,0.7182818284590451\r\n'
+        '2,2.43656365691809,0.4365636569180902\r\n'
+        '3,2.8731273138361804,\r\n',
+        ''),
+    ('time --lambda 1 --mu 2 --imax 2 --digits 30 --format table', 0,
+        'model: lambda = 1   mu = 2\n'
+        'precision: extended, 30 digits\n'
+        'method: StableSeries\n'
+        'classification: Finite\n'
+        'terms_used: 94\n'
+        '\n'
+        'index  omega                             delta\n'
+        '0      0                                 0.999999999999999999999999999975\n'
+        '1      0.999999999999999999999999999975  0.999999999999999999999999999950\n'
+        '2      1.99999999999999999999999999992\n',
+        ''),
+    ('compare --lambda 1 --mu n --imax 3 --format table', 0,
+        'model: lambda = 1   mu = n\n'
+        'precision: machine\n'
+        'classification: Finite\n'
+        'first_breakdown_index: None\n'
+        '\n'
+        'index  stable_omega        naive_omega         relative_deviation\n'
+        '0      0.0                 0.0                 0.0\n'
+        '1      1.718281828459045   1.718281828459045   0.0\n'
+        '2      2.43656365691809    2.43656365691809    0.0\n'
+        '3      2.8731273138361804  2.8731273138361804  0.0\n',
+        ''),
+    ('compare --lambda 3 --mu 1.1 --imax 3 --quantity prob --format json', 0,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "3",\n'
+        '    "mu": "1.1"\n'
+        '  },\n'
+        '  "quantity": "prob",\n'
+        '  "classification": "Uncertain",\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "stable": {\n'
+        '    "method": "StableSeries",\n'
+        '    "a": [\n'
+        '      "1.0",\n'
+        '      "0.3666666666666669",\n'
+        '      "0.13444444444444478",\n'
+        '      "0.04929629629629667"\n'
+        '    ]\n'
+        '  },\n'
+        '  "naive": {\n'
+        '    "method": "NaiveRecursion",\n'
+        '    "a": [\n'
+        '      "1.0",\n'
+        '      "0.3666666666666669",\n'
+        '      "0.1344444444444448",\n'
+        '      "0.04929629629629667"\n'
+        '    ],\n'
+        '    "violations": []\n'
+        '  },\n'
+        '  "relative_deviation": [\n'
+        '    "0.0",\n'
+        '    "0.0",\n'
+        '    "2.0644643019889223e-16",\n'
+        '    "0.0"\n'
+        '  ],\n'
+        '  "first_breakdown_index": null\n'
+        '}\n',
+        ''),
+    ('demo-instability --lambda 1 --mu n --imax 3 --format csv', 0,
+        'mode,digits,first_violation_index,first_violation_kind\r\n'
+        'machine,,,\r\n'
+        'extended,70,,\r\n',
+        ''),
+    ('prob --lambda 2*n+3 --mu 2*n+1 --imax 2 --max-terms 100 --format json', 2,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "2*n+3",\n'
+        '    "mu": "2*n+1"\n'
+        '  },\n'
+        '  "method": "StableSeries",\n'
+        '  "classification": "Inconclusive",\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "a": [],\n'
+        '  "d": [],\n'
+        '  "violations": [],\n'
+        '  "terms_used": 100\n'
+        '}\n',
+        ''),
+    ('time --lambda 2*n+3 --mu 2*n+1 --imax 2 --max-terms 100 --naive --format json', 2,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "2*n+3",\n'
+        '    "mu": "2*n+1"\n'
+        '  },\n'
+        '  "method": "NaiveRecursion",\n'
+        '  "classification": "Inconclusive",\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "delta": [],\n'
+        '  "omega": [],\n'
+        '  "violations": [],\n'
+        '  "terms_used": 100\n'
+        '}\n',
+        ''),
+    ('demo-instability --lambda 2*n+3 --mu 2*n+1 --imax 3 --max-terms 100', 2,
+        'model: lambda = 2*n+3   mu = 2*n+1\n'
+        '\n'
+        'mode      digits  first_violation_index  first_violation_kind\n'
+        'machine\n'
+        'extended  70\n',
+        ''),
+    ('prob --lambda n-5 --mu 1 --imax 3', 1,
+        '',
+        'error: rate lambda(n=1) = -4.0 is not positive; rates must be > 0\n'),
+    ('time --lambda 1 --mu log(n-1) --imax 3', 1,
+        '',
+        'error: evaluation error at offset 0: log: log of a non-positive value\n'),
+    ('simulate --lambda 1 --mu 2 --runs 20 --seed 1 --format json', 0,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "1",\n'
+        '    "mu": "2"\n'
+        '  },\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "start_state": 1,\n'
+        '  "runs": 20,\n'
+        '  "extinct_runs": 20,\n'
+        '  "censored_runs": 0,\n'
+        '  "seed": 1,\n'
+        '  "time_cap": "100.0",\n'
+        '  "extinction_probability_estimate": "1.0",\n'
+        '  "mean_time_estimate": "0.7174780742728111",\n'
+        '  "std_error_time": "0.17818077489522927",\n'
+        '  "std_error_prob": "0.0"\n'
+        '}\n',
+        ''),
+
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _PINNED, ids=[case[0] for case in _PINNED])
+def test_output_bytes_are_pinned(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv.split()) == (code, out, err)

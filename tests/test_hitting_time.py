@@ -8,8 +8,8 @@ from birthdeath import (
     INFINITE,
     NAIVE_RECURSION,
     NOT_CERTAIN_EXTINCTION,
-    Finite,
-    Infinite,
+    Converged,
+    Diverged,
     RateModel,
     SeriesPolicy,
     delta_residual,
@@ -27,14 +27,14 @@ import oracles
 
 def test_delta0_is_e_minus_one(mctx):
     out = delta_series(expr_model("1", "n", mctx), 0, mctx)
-    assert isinstance(out, Finite)
-    assert oracles.rel_err_decimal(out.value.literal(), oracles.OMEGA_1) < 1e-12
+    assert isinstance(out, Converged)
+    assert oracles.rel_err_decimal(out.total.literal(), oracles.OMEGA_1) < 1e-12
 
 
 def test_delta1_against_direct_summation_oracle(mctx):
     out = delta_series(expr_model("1", "n", mctx), 1, mctx)
     direct = oracles.passage_time_direct(lambda n: 1, lambda n: n, 1, terms=60)
-    assert oracles.rel_err_decimal(out.value.literal(), direct) < 1e-13
+    assert oracles.rel_err_decimal(out.total.literal(), direct) < 1e-13
     # and the direct sum itself is e - 2
     assert abs(direct - Decimal(oracles.DELTA_1)) < Decimal("1e-30")
 
@@ -45,17 +45,17 @@ def test_delta_series_extended_vs_oracle():
     for i in range(5):
         out = delta_series(model, i, ctx)
         direct = oracles.passage_time_direct(lambda n: 1, lambda n: n, i, terms=80)
-        assert oracles.rel_err_decimal(out.value.literal(), direct) < 1e-27
+        assert oracles.rel_err_decimal(out.total.literal(), direct) < 1e-27
 
 
 def test_delta_divergent_when_rates_balance(mctx):
     out = delta_series(expr_model("1", "1", mctx), 0, mctx)
-    assert isinstance(out, Infinite)
+    assert isinstance(out, Diverged)
 
 
 def test_delta_geometric_closed_form(mctx):
     out = delta_series(expr_model("1", "2", mctx), 7, mctx)
-    assert abs(float(out.value) - 1.0) < 1e-12
+    assert abs(float(out.total) - 1.0) < 1e-12
 
 
 def test_omega_stable_small_values(mctx):
@@ -112,7 +112,7 @@ def test_stepped_deltas_match_independent_series(digits, lam, mu):
     tol = Decimal(SeriesPolicy.default(ctx).rel_tol.literal())
     for i in (0, 1, i_max // 4, i_max // 2, i_max - 1):
         direct = delta_series(model, i, ctx)
-        assert oracles.rel_err_decimal(report.delta[i].literal(), direct.value.literal()) < tol
+        assert oracles.rel_err_decimal(report.delta[i].literal(), direct.total.literal()) < tol
 
 
 @pytest.mark.parametrize("digits", [None, 40])
@@ -257,7 +257,7 @@ def test_delta_independent_of_lower_rates(mctx):
     perturbed = RateModel(perturbed_birth, perturbed_death, label="perturbed low states")
     a = delta_series(base, i, mctx)
     b = delta_series(perturbed, i, mctx)
-    assert a.value.literal() == b.value.literal()
+    assert a.total.literal() == b.total.literal()
     assert a.terms == b.terms
 
 
