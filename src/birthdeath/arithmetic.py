@@ -112,10 +112,6 @@ class RealContext:
                     f"value from {value.ctx!r} used under {self!r}"
                 )
             return value
-        if isinstance(value, float):
-            if self.is_machine:
-                return self._wrap(value)
-            return Real(self, self._dctx.plus(Decimal(value)))
         raise TypeError(f"cannot make a Real from {type(value).__name__}")
 
     def _from_literal(self, text: str) -> "Real":

@@ -27,7 +27,7 @@ from .rates import expr_model
 from .reports import INCONCLUSIVE, NAIVE_RECURSION, STABLE_SERIES, first_violation
 from .series import SeriesPolicy
 from .simulate import simulate as run_simulation
-from . import output
+from . import __version__, output
 
 _FORMATS = click.Choice(["table", "csv", "json"])
 
@@ -53,18 +53,22 @@ def _format_option(f):
                         show_default=True, help="Output format.")(f)
 
 
-def _context(digits: int | None):
-    return make_context(EXTENDED, digits) if digits is not None else make_context(MACHINE)
+def _request(digits: int | None, lambda_src: str, mu_src: str, tol: str | None,
+             max_terms: int | None):
+    """The context, model and series policy of one request.
 
-
-def _policy(ctx, tol: str | None, max_terms: int | None) -> SeriesPolicy:
+    Built in that order, so a bad precision is reported before a bad
+    expression, and a bad expression before a bad --tol or --max-terms.
+    """
+    ctx = make_context(EXTENDED, digits) if digits is not None else make_context(MACHINE)
+    model = expr_model(lambda_src, mu_src, ctx)
     policy = SeriesPolicy.default(ctx)
     changes = {}
     if tol is not None:
         changes["rel_tol"] = ctx.real(tol)
     if max_terms is not None:
         changes["max_terms"] = max_terms
-    return dataclasses.replace(policy, **changes) if changes else policy
+    return ctx, model, dataclasses.replace(policy, **changes) if changes else policy
 
 
 def _emit(payload: dict, fmt: str):
@@ -77,7 +81,7 @@ def _emit(payload: dict, fmt: str):
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="birthdeath")
+@click.version_option(version=__version__, prog_name="birthdeath")
 def cli():
     """Extinction probabilities and expected extinction times for
     birth-and-death processes.
@@ -115,9 +119,7 @@ def _quantity_command(quantity: str, summary: str):
     @_format_option
     @click.pass_context
     def command(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive, fmt):
-        ctx = _context(digits)
-        model = expr_model(lambda_src, mu_src, ctx)
-        policy = _policy(ctx, tol, max_terms)
+        ctx, model, policy = _request(digits, lambda_src, mu_src, tol, max_terms)
         try:
             stable, naive_report = _reports(quantity, model, imax, ctx, policy, naive)
         except InconclusiveSeriesError as exc:
@@ -146,20 +148,13 @@ time_cmd = _quantity_command("time", "Expected times to extinction omega[0..imax
 @click.pass_context
 def compare(click_ctx, lambda_src, mu_src, imax, digits, quantity, tol, max_terms, fmt):
     """Stable and naive methods side by side, with per-index deviation."""
-    ctx = _context(digits)
-    model = expr_model(lambda_src, mu_src, ctx)
-    policy = _policy(ctx, tol, max_terms)
+    ctx, model, policy = _request(digits, lambda_src, mu_src, tol, max_terms)
     try:
         stable, naive = _reports(quantity, model, imax, ctx, policy, naive=True)
     except InconclusiveSeriesError as exc:
         _emit(output.inconclusive_payload(quantity, lambda_src, mu_src, ctx, exc.terms, STABLE_SERIES), fmt)
         click_ctx.exit(2)
-    key = "omega" if quantity == "time" else "a"
-    payload = output.compare_payload(
-        quantity, getattr(stable, key), getattr(naive, key), naive.violations,
-        stable.classification, lambda_src, mu_src, ctx,
-    )
-    _emit(payload, fmt)
+    _emit(output.compare_payload(quantity, stable, naive, lambda_src, mu_src, ctx), fmt)
 
 
 @cli.command()
@@ -177,10 +172,10 @@ def simulate(lambda_src, mu_src, start, runs, time_cap, seed, fmt):
     Always runs at machine precision; results are deterministic for a
     given seed.
     """
-    ctx = _context(None)
+    ctx = make_context(MACHINE)
     model = expr_model(lambda_src, mu_src, ctx)
     stats = run_simulation(model, start, runs, time_cap, seed)
-    _emit(output.simulate_payload(stats, lambda_src, mu_src), fmt)
+    _emit(output.simulate_payload(stats, lambda_src, mu_src, ctx), fmt)
 
 
 @cli.command("demo-instability")
@@ -204,9 +199,7 @@ def demo_instability(click_ctx, lambda_src, mu_src, imax, digits_list, tol, max_
     entries = []
     inconclusive = False
     for digits in precisions:
-        ctx = _context(digits)
-        model = expr_model(lambda_src, mu_src, ctx)
-        policy = _policy(ctx, tol, max_terms)
+        ctx, model, policy = _request(digits, lambda_src, mu_src, tol, max_terms)
         try:
             _, report = _reports("time", model, imax, ctx, policy, naive=True)
         except InconclusiveSeriesError:

@@ -65,8 +65,6 @@ def extinction_sum(
     model: RateModel, ctx: RealContext, policy: SeriesPolicy | None = None
 ) -> SeriesOutcome:
     """Verdict on the normalizing sum S; Diverged means certain extinction."""
-    if policy is None:
-        policy = SeriesPolicy.default(ctx)
     return sum_positive_series(_pi_terms(model, ctx), ctx, policy)
 
 

@@ -94,8 +94,6 @@ def delta_series(
     """
     if i < 0:
         raise ValueError(f"i must be >= 0, got {i}")
-    if policy is None:
-        policy = SeriesPolicy.default(ctx)
     return sum_positive_series(_delta_terms(model, i, ctx), ctx, policy)
 
 
@@ -116,8 +114,6 @@ def omega_stable(
     """
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
-    if policy is None:
-        policy = SeriesPolicy.default(ctx)
     if isinstance(extinction_sum(model, ctx, policy), Converged):
         return HittingTimeReport(
             classification=NOT_CERTAIN_EXTINCTION,
@@ -170,9 +166,10 @@ def omega_naive(
     omega = [ctx.zero(), stable.delta[0]]
     violations: list[Violation] = []
     for i in range(1, i_max):
-        ratio = model.death(i) / model.birth(i)
+        mu, lam = model.death(i), model.birth(i)
+        ratio = mu / lam
         try:
-            nxt = (one + ratio) * omega[i] - ratio * omega[i - 1] - one / model.birth(i)
+            nxt = (one + ratio) * omega[i] - ratio * omega[i - 1] - one / lam
         except OverflowError:
             violations.append(Violation(i + 1, VIOLATION_OVERFLOW))
             break

@@ -117,10 +117,12 @@ def inconclusive_payload(
     return _report_payload(lambda_src, mu_src, ctx, method, INCONCLUSIVE, arrays, [], terms)
 
 
-def simulate_payload(stats: TrajectoryStats, lambda_src: str, mu_src: str) -> dict:
+def simulate_payload(
+    stats: TrajectoryStats, lambda_src: str, mu_src: str, ctx: RealContext
+) -> dict:
     return {
         "model": {"lambda": lambda_src, "mu": mu_src},
-        "precision": {"mode": "machine", "digits": None},
+        "precision": precision_payload(ctx),
         "start_state": stats.start_state,
         "runs": stats.runs,
         "extinct_runs": stats.extinct_runs,
@@ -144,34 +146,35 @@ def _relative_deviation(stable: Real, naive: Real, ctx: RealContext) -> str:
     return fmt(diff / abs(stable))
 
 
+# the column ``compare`` puts side by side, per quantity
+_COMPARED = {"time": "omega", "prob": "a"}
+
+
 def compare_payload(
     quantity: str,
-    stable_values: list[Real],
-    naive_values: list[Real],
-    naive_violations: list[Violation],
-    classification: str,
+    stable: ExtinctionReport | HittingTimeReport,
+    naive: ExtinctionReport | HittingTimeReport,
     lambda_src: str,
     mu_src: str,
     ctx: RealContext,
 ) -> dict:
-    deviations = [
-        _relative_deviation(s, n, ctx)
-        for s, n in zip(stable_values, naive_values)
-    ]
-    first = first_violation(naive_violations)
-    key = "omega" if quantity == "time" else "a"
+    key = _COMPARED[quantity]
+    stable_values, naive_values = getattr(stable, key), getattr(naive, key)
+    first = first_violation(naive.violations)
     return {
         "model": {"lambda": lambda_src, "mu": mu_src},
         "quantity": quantity,
-        "classification": classification,
+        "classification": stable.classification,
         "precision": precision_payload(ctx),
-        "stable": {"method": "StableSeries", key: [fmt(x) for x in stable_values]},
+        "stable": {"method": stable.method, key: [fmt(x) for x in stable_values]},
         "naive": {
-            "method": "NaiveRecursion",
+            "method": naive.method,
             key: [fmt(x) for x in naive_values],
-            "violations": _violations_payload(naive_violations),
+            "violations": _violations_payload(naive.violations),
         },
-        "relative_deviation": deviations,
+        "relative_deviation": [
+            _relative_deviation(s, n, ctx) for s, n in zip(stable_values, naive_values)
+        ],
         "first_breakdown_index": first.index if first else None,
     }
 
@@ -191,26 +194,18 @@ def to_json(payload: dict) -> str:
 # -- CSV ---------------------------------------------------------------------
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def payload_csv(payload: dict) -> str:
-    """Per-index numeric table for any payload kind, RFC-4180."""
-    if "a" in payload and "stable" not in payload:
+def _rows(payload: dict) -> tuple[list[str], list[list]]:
+    """Header and per-index rows of any payload kind; CSV and tables show these."""
+    if "a" in payload:
         a, d = payload["a"], payload["d"]
         rows = [[i, a[i], d[i - 1] if i >= 1 else ""] for i in range(len(a))]
-        return _csv_text(["index", "a", "d"], rows)
+        return ["index", "a", "d"], rows
     if "omega" in payload:
         omega, delta = payload["omega"], payload["delta"]
         rows = [[i, omega[i], delta[i] if i < len(delta) else ""] for i in range(len(omega))]
-        return _csv_text(["index", "omega", "delta"], rows)
+        return ["index", "omega", "delta"], rows
     if "stable" in payload:
-        key = "omega" if payload["quantity"] == "time" else "a"
+        key = _COMPARED[payload["quantity"]]
         stable, naive = payload["stable"][key], payload["naive"][key]
         dev = payload["relative_deviation"]
         # the naive recursion stops at an overflow, so its column can be short
@@ -218,7 +213,7 @@ def payload_csv(payload: dict) -> str:
             [i, stable[i], naive[i] if i < len(naive) else "", dev[i] if i < len(dev) else ""]
             for i in range(len(stable))
         ]
-        return _csv_text(["index", f"stable_{key}", f"naive_{key}", "relative_deviation"], rows)
+        return ["index", f"stable_{key}", f"naive_{key}", "relative_deviation"], rows
     if "precisions" in payload:
         rows = [
             [e["mode"], e["digits"] if e["digits"] is not None else "",
@@ -226,17 +221,25 @@ def payload_csv(payload: dict) -> str:
              e["first_violation_kind"] or ""]
             for e in payload["precisions"]
         ]
-        return _csv_text(
-            ["mode", "digits", "first_violation_index", "first_violation_kind"], rows
-        )
+        return ["mode", "digits", "first_violation_index", "first_violation_kind"], rows
     if "runs" in payload:
         fields = [
             "start_state", "runs", "extinct_runs", "censored_runs", "seed",
             "time_cap", "extinction_probability_estimate", "mean_time_estimate",
             "std_error_time", "std_error_prob",
         ]
-        return _csv_text(fields, [[payload[f] for f in fields]])
+        return fields, [[payload[f] for f in fields]]
     raise ValueError("unrecognized payload shape")
+
+
+def payload_csv(payload: dict) -> str:
+    """Per-index numeric table for any payload kind, RFC-4180."""
+    header, rows = _rows(payload)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # -- tables ------------------------------------------------------------------
@@ -279,8 +282,5 @@ def payload_table(payload: dict) -> str:
             shown = ", ".join(f"{v['index']}:{v['kind']}" for v in naive_v)
             lines.append(f"naive violations: {shown}")
     lines.append("")
-    csv_text = payload_csv(payload)
-    reader = csv.reader(io.StringIO(csv_text))
-    parsed = list(reader)
-    lines.extend(_columns(parsed[0], parsed[1:]))
+    lines.extend(_columns(*_rows(payload)))
     return "\n".join(lines)

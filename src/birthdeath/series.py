@@ -19,7 +19,6 @@ which accumulates terms until it can defend one of three verdicts:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -40,7 +39,8 @@ class SeriesPolicy:
     """Knobs deciding when a numerically summed series is settled.
 
     rel_tol: relative tail tolerance, 0 < rel_tol < 1.
-    max_terms: hard budget before giving up (>= DIVERGENCE_WINDOW).
+    max_terms: hard budget before giving up (> DIVERGENCE_WINDOW, so that a
+        full window of ratios fits in it).
     """
 
     rel_tol: Real
@@ -49,8 +49,8 @@ class SeriesPolicy:
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.rel_tol < 1):
             raise ValueError("rel_tol must satisfy 0 < rel_tol < 1")
-        if self.max_terms < DIVERGENCE_WINDOW:
-            raise ValueError(f"max_terms must be >= {DIVERGENCE_WINDOW}")
+        if self.max_terms <= DIVERGENCE_WINDOW:
+            raise ValueError(f"max_terms must be > {DIVERGENCE_WINDOW}")
 
     @classmethod
     def default(cls, ctx: RealContext) -> "SeriesPolicy":
@@ -78,20 +78,21 @@ SeriesOutcome = Union[Converged, Diverged]
 
 
 def sum_positive_series(
-    terms: Iterator[Real], ctx: RealContext, policy: SeriesPolicy
+    terms: Iterator[Real], ctx: RealContext, policy: SeriesPolicy | None = None
 ) -> SeriesOutcome:
     """Sum a series of positive terms under ``policy``.
 
-    The iterator must yield terms in order.  Terms are products of
-    strictly positive rates, so a term equal to zero can only have
-    underflowed; the terms after it are unknown and may grow again, so it
-    raises :class:`InconclusiveSeriesError` rather than ending the sum.
+    ``policy`` defaults to ``SeriesPolicy.default(ctx)``.  The iterator
+    must yield terms in order.  Terms are products of strictly positive
+    rates, so a term equal to zero can only have underflowed; the terms
+    after it are unknown and may grow again, so it raises
+    :class:`InconclusiveSeriesError` rather than ending the sum.
     """
+    if policy is None:
+        policy = SeriesPolicy.default(ctx)
     total = ctx.zero()
     prev: Real | None = None
     window = DIVERGENCE_WINDOW
-    # whether each recent ratio was below 1 (True) or at least 1 (False)
-    recent: deque[bool] = deque(maxlen=window)
     below_streak = 0
     growing_streak = 0
     count = 0
@@ -113,7 +114,6 @@ def sum_positive_series(
                 )
             if prev is not None:
                 below = term < prev
-                recent.append(below)
                 below_streak = below_streak + 1 if below else 0
                 growing_streak = 0 if below else growing_streak + 1
             total = total + term
@@ -125,13 +125,9 @@ def sum_positive_series(
             return Converged(total, count)
         prev = term
 
-    # Budget exhausted without a streak verdict: judge the last window.
-    saw_below = any(recent)
-    saw_growth = not all(recent)
-    tail_failing = prev is not None and not (prev < policy.rel_tol * total)
-    if saw_growth and not saw_below:
-        # every recent ratio >= 1: the terms are not shrinking
-        return Diverged(count)
-    if saw_growth and saw_below and tail_failing:
+    # Budget exhausted without a streak verdict.  The budget exceeds the
+    # window, so the last window is full, and it is not all growth (that
+    # returned above): unless every ratio in it fell, it straddles 1.
+    if below_streak < window and not (prev < policy.rel_tol * total):
         return Diverged(count, low_confidence=True)
     raise InconclusiveSeriesError(count)

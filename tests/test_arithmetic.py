@@ -175,6 +175,15 @@ def test_literal_rejects_garbage():
         e.real("five")
 
 
+def test_real_rejects_other_types():
+    # floats are rejected too: a binary literal would carry its rounding
+    # error into an extended context
+    for ctx in (make_context("machine"), make_context("extended", 20)):
+        for value in (True, 0.5, None):
+            with pytest.raises(TypeError):
+                ctx.real(value)
+
+
 def test_total_order_on_finite_values():
     ctx = make_context("extended", 20)
     values = [ctx.real(x) for x in ("3", "-1", "0", "2.5")]

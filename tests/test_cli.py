@@ -368,6 +368,25 @@ def test_bad_max_terms_rejected(capsys):
     assert err
 
 
+def test_max_terms_of_one_window_rejected(capsys):
+    # a window of 64 ratios needs 65 terms, so 64 could never converge
+    code, out, err = run_cli(
+        capsys, "time", "--lambda", "1", "--mu", "2", "--imax", "3", "--max-terms", "64"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: max_terms must be > 64\n"
+
+
+def test_demo_instability_breakdown_indexes(capsys):
+    code, out, _ = run_cli(
+        capsys, "demo-instability", "--lambda", "1", "--mu", "n", "--imax", "60",
+        "--digits", "70", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows == [["machine", "", "18", "non_monotone"], ["extended", "70", "54", "non_monotone"]]
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

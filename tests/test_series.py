@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -42,6 +43,8 @@ def test_policy_validation(mctx):
         dataclasses.replace(ok, rel_tol=mctx.real(2))
     with pytest.raises(ValueError):
         dataclasses.replace(ok, max_terms=10)  # < window
+    with pytest.raises(ValueError):
+        dataclasses.replace(ok, max_terms=64)  # a window of ratios needs 65 terms
 
 
 def test_geometric_convergence_terminates_at_window(mctx):
@@ -118,11 +121,82 @@ def test_exhausted_finite_iterator_is_inconclusive(mctx):
 
 
 def test_all_growing_window_diverges_at_budget(mctx):
-    # ratios steady at 1.01 with a budget of one window: the 63 ratios seen
-    # fall one short of a streak verdict, but at exhaustion every recent
-    # ratio is >= 1, which is decisive
-    p = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=DIVERGENCE_WINDOW)
+    # ratios steady at 1.01 with the smallest budget: its last term completes
+    # a window of growth, which is decisive
+    p = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=DIVERGENCE_WINDOW + 1)
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "1.01"), mctx, p)
     assert isinstance(out, Diverged)
     assert not out.low_confidence
-    assert out.terms == DIVERGENCE_WINDOW
+    assert out.terms == DIVERGENCE_WINDOW + 1
+
+
+def test_geometric_convergence_at_the_smallest_budget(mctx):
+    p = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=DIVERGENCE_WINDOW + 1)
+    out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "0.5"), mctx, p)
+    assert isinstance(out, Converged)
+    assert out.terms == DIVERGENCE_WINDOW + 1
+
+
+def _judge(terms, policy):
+    """The verdict rule restated over every ratio, reading the last window
+    explicitly: (kind, terms, total or low_confidence)."""
+    window = DIVERGENCE_WINDOW
+    below = []  # per ratio: did the term fall?
+    total = terms[0].ctx.zero()
+    for count, term in enumerate(terms[:policy.max_terms], 1):
+        if count > 1:
+            below.append(term < terms[count - 2])
+        total = total + term
+        last = below[-window:]
+        if len(last) == window and not any(last):
+            return "diverged", count, False
+        if len(last) == window and all(last) and term < policy.rel_tol * total:
+            return "converged", count, total
+    last = below[-window:]
+    if not any(last):
+        return "diverged", policy.max_terms, False
+    if not all(last) and not (terms[policy.max_terms - 1] < policy.rel_tol * total):
+        return "diverged", policy.max_terms, True
+    return "inconclusive", policy.max_terms, None
+
+
+def test_streak_counters_agree_with_an_explicit_window(mctx):
+    rng = random.Random(20261018)
+    families = {
+        "decaying": lambda k, n: rng.uniform(0.3, 0.99),
+        "slow": lambda k, n: rng.uniform(0.995, 0.99999),
+        "growing": lambda k, n: rng.uniform(1.0, 1.5),
+        "straddling": lambda k, n: rng.uniform(0.8, 1.2),
+        "mostly_falling": lambda k, n: 1.05 if rng.random() < 0.02 else rng.uniform(0.9, 0.99),
+        "growth_after_decay": lambda k, n: 0.9 if k < n else 1.01,
+    }
+    seen = set()
+    for case in range(1200):
+        family = list(families)[case % len(families)]
+        budget = (65, 66, 100, 1000)[case // len(families) % 4]
+        tol = rng.choice(("1e-14", "1e-6", "1e-2"))
+        policy = SeriesPolicy(mctx.real(tol), budget)
+        turn = rng.randrange(1, budget)
+        ratios = [
+            1.0 if rng.random() < 0.05 else families[family](k, turn)
+            for k in range(budget - 1)
+        ]
+        terms = [mctx.one()]
+        for r in ratios:
+            terms.append(terms[-1] * mctx.real(repr(r)))
+        want = _judge(terms, policy)
+        try:
+            out = sum_positive_series(iter(terms), mctx, policy)
+        except InconclusiveSeriesError as exc:
+            got = ("inconclusive", exc.terms, None)
+        else:
+            if isinstance(out, Converged):
+                got = ("converged", out.terms, out.total)
+            else:
+                got = ("diverged", out.terms, out.low_confidence)
+        assert got == want, (family, budget, tol, ratios)
+        seen.add((got[0], got[2] is True))
+    assert seen == {
+        ("converged", False), ("diverged", False), ("diverged", True),
+        ("inconclusive", False),
+    }
