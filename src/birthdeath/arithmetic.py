@@ -40,6 +40,13 @@ def _float_divide(a: float, b: float) -> float:
     return a / b
 
 
+def _float_power(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        raise ValueError("negative base raised to a non-integer power") from None
+
+
 class RealContext:
     """Precision contract: machine binary64 or extended decimal digits."""
 
@@ -91,9 +98,12 @@ class RealContext:
     def real(self, value) -> "Real":
         """Widen ``value`` (int, decimal literal string, Real) into this context.
 
-        Integers are converted exactly.  Strings are decimal literals with
-        optional fraction and exponent.  A Real from an equivalent context
-        passes through; any other Real is a hard failure.
+        Integers are rounded to the context: exact up to 2^53 at machine
+        precision, and to ``digits`` significant digits in extended mode
+        (at 15 digits, ``10**20 + 1`` becomes ``1.00000000000000E+20``).
+        Strings are decimal literals with optional fraction and exponent.
+        A Real from an equivalent context passes through; any other Real
+        is a hard failure.
         """
         if isinstance(value, bool):
             raise TypeError("bool is not a real number")
@@ -116,17 +126,18 @@ class RealContext:
 
     def _from_literal(self, text: str) -> "Real":
         if self.is_machine:
-            v = float(text)
-            if math.isnan(v):
+            if math.isnan(float(text)):
                 raise ValueError(f"not a real number literal: {text!r}")
-            return self._wrap(v)
+            return self._apply(float, None, text)
         try:
             v = self._dctx.create_decimal(text)
+            if v.is_finite():
+                return Real(self, v)
         except decimal.InvalidOperation:
             raise ValueError(f"not a real number literal: {text!r}") from None
-        if not v.is_finite():
-            raise OverflowError(f"literal {text!r} overflows the context")
-        return Real(self, v)
+        except decimal.Overflow:
+            pass
+        raise OverflowError(f"literal {text!r} overflows the context")
 
     def zero(self) -> "Real":
         return self.real(0)
@@ -142,14 +153,16 @@ class RealContext:
 
     # -- internal op plumbing ---------------------------------------------
 
-    def _wrap(self, v: float) -> "Real":
-        if not math.isfinite(v):
-            raise OverflowError("operation overflowed machine precision")
-        return Real(self, v)
-
-    def _dec(self, fn, *args):
+    def _apply(self, f_float, dec_op: str | None, *operands) -> "Real":
+        """``f_float`` at machine precision, else the ``decimal.Context`` method
+        ``dec_op``; overflow and each trapped condition become builtin errors."""
+        if self.is_machine:
+            v = f_float(*operands)
+            if not math.isfinite(v):
+                raise OverflowError("operation overflowed machine precision")
+            return Real(self, v)
         try:
-            return fn(*args)
+            return Real(self, getattr(self._dctx, dec_op)(*operands))
         except decimal.Overflow as exc:
             raise OverflowError("operation overflowed the extended context") from exc
         except decimal.DivisionByZero as exc:
@@ -250,7 +263,7 @@ class Real:
             return Real(ctx, v)
         if a.is_infinite() or o.is_infinite():
             raise ValueError(_INFINITE_OPERAND)
-        return Real(ctx, ctx._dec(getattr(ctx._dctx, dec_op), a, o))
+        return ctx._apply(f_float, dec_op, a, o)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -289,27 +302,19 @@ class Real:
         if o is None:
             return NotImplemented
         self._guard_finite(self._v, o)
-        ctx = self.ctx
         if self._v == 0 and o < 0:
             raise ZeroDivisionError("zero raised to a negative power")
-        if ctx.is_machine:
-            try:
-                return ctx._wrap(math.pow(self._v, o))
-            except ValueError:
-                raise ValueError(
-                    "negative base raised to a non-integer power"
-                ) from None
-        return Real(ctx, ctx._dec(ctx._dctx.power, self._v, o))
+        return self.ctx._apply(_float_power, "power", self._v, o)
 
     def __neg__(self):
         if self.ctx.is_machine:
             return Real(self.ctx, -self._v)
-        return Real(self.ctx, self.ctx._dec(self.ctx._dctx.minus, self._v))
+        return self.ctx._apply(None, "minus", self._v)
 
     def __abs__(self):
         if self.ctx.is_machine:
             return Real(self.ctx, abs(self._v))
-        return Real(self.ctx, self.ctx._dec(self.ctx._dctx.abs, self._v))
+        return self.ctx._apply(None, "abs", self._v)
 
     # -- comparisons (total order; infinity compares greater) ----------------
 
@@ -348,33 +353,22 @@ class Real:
 
 def constant_e(ctx: RealContext) -> Real:
     """Euler's number correct to the context's precision."""
-    if ctx.is_machine:
-        return Real(ctx, math.e)
-    return Real(ctx, ctx._dec(ctx._dctx.exp, Decimal(1)))
+    return exp(ctx.one())
 
 
 def exp(x: Real) -> Real:
-    ctx = x.ctx
-    if ctx.is_machine:
-        return ctx._wrap(math.exp(x._v))
-    return Real(ctx, ctx._dec(ctx._dctx.exp, x._v))
+    return x.ctx._apply(math.exp, "exp", x._v)
 
 
 def log(x: Real) -> Real:
     """Natural logarithm; rejects non-positive arguments."""
     if x <= 0:
         raise ValueError("log of a non-positive value")
-    ctx = x.ctx
-    if ctx.is_machine:
-        return ctx._wrap(math.log(x._v))
-    return Real(ctx, ctx._dec(ctx._dctx.ln, x._v))
+    return x.ctx._apply(math.log, "ln", x._v)
 
 
 def sqrt(x: Real) -> Real:
     """Square root; rejects negative arguments."""
     if x < 0:
         raise ValueError("sqrt of a negative value")
-    ctx = x.ctx
-    if ctx.is_machine:
-        return ctx._wrap(math.sqrt(x._v))
-    return Real(ctx, ctx._dec(ctx._dctx.sqrt, x._v))
+    return x.ctx._apply(math.sqrt, "sqrt", x._v)

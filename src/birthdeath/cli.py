@@ -20,11 +20,10 @@ import sys
 import click
 
 from .arithmetic import EXTENDED, MACHINE, make_context
-from .errors import ExprEvalError, InconclusiveSeriesError
 from .extinction import extinction_probabilities, extinction_probabilities_naive
 from .hitting_time import omega_naive, omega_stable
 from .rates import expr_model
-from .reports import INCONCLUSIVE, NAIVE_RECURSION, STABLE_SERIES, first_violation
+from .reports import INCONCLUSIVE, first_violation
 from .series import SeriesPolicy
 from .simulate import simulate as run_simulation
 from . import __version__, output
@@ -120,14 +119,12 @@ def _quantity_command(quantity: str, summary: str):
     @click.pass_context
     def command(click_ctx, lambda_src, mu_src, imax, digits, tol, max_terms, naive, fmt):
         ctx, model, policy = _request(digits, lambda_src, mu_src, tol, max_terms)
-        try:
-            stable, naive_report = _reports(quantity, model, imax, ctx, policy, naive)
-        except InconclusiveSeriesError as exc:
-            method = NAIVE_RECURSION if naive else STABLE_SERIES
-            _emit(output.inconclusive_payload(quantity, lambda_src, mu_src, ctx, exc.terms, method), fmt)
-            click_ctx.exit(2)
+        stable, naive_report = _reports(quantity, model, imax, ctx, policy, naive)
+        report = naive_report if naive else stable
         payload = output.hitting_payload if quantity == "time" else output.extinction_payload
-        _emit(payload(naive_report if naive else stable, lambda_src, mu_src, ctx), fmt)
+        _emit(payload(report, lambda_src, mu_src, ctx), fmt)
+        if report.classification == INCONCLUSIVE:
+            click_ctx.exit(2)
 
     return command
 
@@ -149,10 +146,10 @@ time_cmd = _quantity_command("time", "Expected times to extinction omega[0..imax
 def compare(click_ctx, lambda_src, mu_src, imax, digits, quantity, tol, max_terms, fmt):
     """Stable and naive methods side by side, with per-index deviation."""
     ctx, model, policy = _request(digits, lambda_src, mu_src, tol, max_terms)
-    try:
-        stable, naive = _reports(quantity, model, imax, ctx, policy, naive=True)
-    except InconclusiveSeriesError as exc:
-        _emit(output.inconclusive_payload(quantity, lambda_src, mu_src, ctx, exc.terms, STABLE_SERIES), fmt)
+    stable, naive = _reports(quantity, model, imax, ctx, policy, naive=True)
+    if stable.classification == INCONCLUSIVE:
+        _emit(output.inconclusive_payload(
+            quantity, lambda_src, mu_src, ctx, stable.terms_used, stable.method), fmt)
         click_ctx.exit(2)
     _emit(output.compare_payload(quantity, stable, naive, lambda_src, mu_src, ctx), fmt)
 
@@ -197,25 +194,19 @@ def demo_instability(click_ctx, lambda_src, mu_src, imax, digits_list, tol, max_
     """
     precisions: list[int | None] = [None] + list(digits_list or (70,))
     entries = []
-    inconclusive = False
     for digits in precisions:
         ctx, model, policy = _request(digits, lambda_src, mu_src, tol, max_terms)
-        try:
-            _, report = _reports("time", model, imax, ctx, policy, naive=True)
-        except InconclusiveSeriesError:
-            inconclusive = True
-            classification, first = INCONCLUSIVE, None
-        else:
-            classification, first = report.classification, first_violation(report.violations)
+        _, report = _reports("time", model, imax, ctx, policy, naive=True)
+        first = first_violation(report.violations)
         entries.append({
             "mode": ctx.mode,
             "digits": ctx.digits,
-            "classification": classification,
+            "classification": report.classification,
             "first_violation_index": first.index if first else None,
             "first_violation_kind": first.kind if first else None,
         })
     _emit(output.demo_payload(lambda_src, mu_src, imax, entries), fmt)
-    if inconclusive:
+    if any(e["classification"] == INCONCLUSIVE for e in entries):
         click_ctx.exit(2)
 
 
@@ -231,10 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    # one-line errors: the package's own are ValueErrors but ExprEvalError;
-    # InconclusiveSeriesError, also an ArithmeticError, must not land here,
-    # since the commands answer it with a report
-    except (ValueError, ExprEvalError, OverflowError, ZeroDivisionError) as exc:
+    # one-line errors: the package's own are ValueErrors or ArithmeticErrors,
+    # and a request too large to allocate is a MemoryError
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

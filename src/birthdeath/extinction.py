@@ -24,9 +24,11 @@ from operator import sub
 from typing import Iterator
 
 from .arithmetic import Real, RealContext
+from .errors import InconclusiveSeriesError
 from .rates import RateModel
 from .reports import (
     CERTAIN,
+    INCONCLUSIVE,
     NAIVE_RECURSION,
     STABLE_SERIES,
     UNCERTAIN,
@@ -74,10 +76,23 @@ def extinction_probabilities(
     ctx: RealContext,
     policy: SeriesPolicy | None = None,
 ) -> ExtinctionReport:
-    """Extinction probabilities a[0..i_max] by direct series evaluation."""
+    """Extinction probabilities a[0..i_max] by direct series evaluation.
+
+    An exhausted term budget gives an ``Inconclusive`` report.
+    """
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
-    outcome = extinction_sum(model, ctx, policy)
+    try:
+        outcome = extinction_sum(model, ctx, policy)
+    except InconclusiveSeriesError as exc:
+        return ExtinctionReport(
+            classification=INCONCLUSIVE,
+            series_sum=None,
+            a=[],
+            d=[],
+            terms_used=exc.terms,
+            method=STABLE_SERIES,
+        )
     if isinstance(outcome, Diverged):
         one = ctx.one()
         return ExtinctionReport(
@@ -107,10 +122,11 @@ def extinction_probabilities_naive(
     """Extinction probabilities by the forward recursion, for comparison.
 
     ``stable`` is the :func:`extinction_probabilities` report for the same
-    model and context; the recursion covers the same indexes.  With a
-    divergent normalizing sum the recursion is vacuous and ``stable`` is
-    passed through, relabelled.  Values escaping [0, 1] are recorded as
-    violations, never clipped.
+    model and context; the recursion covers the same indexes.  A report
+    that is not ``Uncertain`` (a divergent or inconclusive normalizing
+    sum) leaves the recursion nothing to do and is passed through,
+    relabelled.  Values escaping [0, 1] are recorded as violations, never
+    clipped.
     """
     if stable.classification != UNCERTAIN:
         return replace(stable, method=NAIVE_RECURSION)

@@ -48,9 +48,11 @@ from itertools import accumulate
 from typing import Iterator
 
 from .arithmetic import Real, RealContext
+from .errors import InconclusiveSeriesError
 from .rates import RateModel
 from .reports import (
     FINITE,
+    INCONCLUSIVE,
     INFINITE,
     NAIVE_RECURSION,
     NOT_CERTAIN_EXTINCTION,
@@ -110,19 +112,29 @@ def omega_stable(
     the quantity anyone wants there.  delta at i_max-1 is summed as a
     series and the lower deltas follow by the downward step.  If that
     series diverges, every delta, being finite exactly when its neighbours
-    are, is infinite, and so is every omega past omega[0].
+    are, is infinite, and so is every omega past omega[0].  If either
+    series exhausts the term budget, the report is ``Inconclusive``.
     """
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
-    if isinstance(extinction_sum(model, ctx, policy), Converged):
+    try:
+        if isinstance(extinction_sum(model, ctx, policy), Converged):
+            return HittingTimeReport(
+                classification=NOT_CERTAIN_EXTINCTION,
+                delta=[],
+                omega=[ctx.zero()],
+                method=STABLE_SERIES,
+                terms_used=0,
+            )
+        top = delta_series(model, i_max - 1, ctx, policy)
+    except InconclusiveSeriesError as exc:
         return HittingTimeReport(
-            classification=NOT_CERTAIN_EXTINCTION,
+            classification=INCONCLUSIVE,
             delta=[],
-            omega=[ctx.zero()],
+            omega=[],
             method=STABLE_SERIES,
-            terms_used=0,
+            terms_used=exc.terms,
         )
-    top = delta_series(model, i_max - 1, ctx, policy)
     if isinstance(top, Diverged):
         inf = ctx.infinity()
         return HittingTimeReport(

@@ -22,6 +22,7 @@ precision at eval time, so one parsed tree serves every precision.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Union
@@ -35,7 +36,11 @@ __all__ = [
     "parse", "eval_expr", "pretty",
 ]
 
-_FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "min": 2, "max": 2}
+# function name -> (arity, implementation); binary operator -> implementation
+_FUNCTIONS = {"exp": (1, arithmetic.exp), "log": (1, arithmetic.log),
+              "sqrt": (1, arithmetic.sqrt), "min": (2, min), "max": (2, max)}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 
 _VARIABLE = "n"
 
@@ -140,24 +145,20 @@ class _Parser:
         return node
 
     def expr(self) -> RateExpr:
-        node = self.term()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = Binary(value, node, self.term(), pos)
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self) -> RateExpr:
-        node = self.unary()
+        return self.chain("*/", self.unary)
+
+    def chain(self, ops: str, operand) -> RateExpr:
+        """``operand (op operand)*`` for ``op`` in ``ops``, left-associative."""
+        node = operand()
         while True:
             kind, value, pos = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = Binary(value, node, self.unary(), pos)
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.advance()
+            node = Binary(value, node, operand(), pos)
 
     def unary(self) -> RateExpr:
         kind, value, pos = self.peek()
@@ -212,7 +213,7 @@ class _Parser:
             else:
                 break
         self.expect_op(")")
-        arity = _FUNCTIONS[func]
+        arity = _FUNCTIONS[func][0]
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"{func} expects {arity} argument(s), got {len(args)}", pos
@@ -263,48 +264,21 @@ def eval_expr(expr: RateExpr, n: int, ctx: RealContext) -> Real:
 def _eval(node: RateExpr, n: int, ctx: RealContext) -> Real:
     if isinstance(node, Variable):
         return ctx.real(n)
-    if isinstance(node, Number):
-        try:
-            return ctx.real(node.literal)
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(str(exc), node.pos) from exc
     if isinstance(node, Unary):
         return -_eval(node.operand, n, ctx)
-    if isinstance(node, Binary):
-        left = _eval(node.left, n, ctx)
-        right = _eval(node.right, n, ctx)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            if node.op == "^":
-                return left ** right
-        except ZeroDivisionError as exc:
-            raise ExprEvalError("division by zero", node.pos) from exc
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(str(exc), node.pos) from exc
-        raise AssertionError(f"unreachable operator {node.op!r}")
-    if isinstance(node, Call):
-        args = [_eval(a, n, ctx) for a in node.args]
-        try:
-            if node.func == "exp":
-                return arithmetic.exp(args[0])
-            if node.func == "log":
-                return arithmetic.log(args[0])
-            if node.func == "sqrt":
-                return arithmetic.sqrt(args[0])
-            if node.func == "min":
-                return min(args)
-            if node.func == "max":
-                return max(args)
-        except (ValueError, OverflowError) as exc:
-            raise ExprEvalError(f"{node.func}: {exc}", node.pos) from exc
-        raise AssertionError(f"unreachable function {node.func!r}")
+    # a child's failure arrives as an ExprEvalError and passes through
+    try:
+        if isinstance(node, Number):
+            return ctx.real(node.literal)
+        if isinstance(node, Binary):
+            return _OPERATORS[node.op](_eval(node.left, n, ctx), _eval(node.right, n, ctx))
+        if isinstance(node, Call):
+            return _FUNCTIONS[node.func][1](*[_eval(a, n, ctx) for a in node.args])
+    except ZeroDivisionError as exc:
+        raise ExprEvalError("division by zero", node.pos) from exc
+    except (ValueError, OverflowError) as exc:
+        where = f"{node.func}: " if isinstance(node, Call) else ""
+        raise ExprEvalError(f"{where}{exc}", node.pos) from exc
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -334,22 +308,18 @@ def _render(node: RateExpr):
     if isinstance(node, Binary):
         lt, lp = _render(node.left)
         rt, rp = _render(node.right)
-        if node.op in "+-":
-            if lp < _PREC_ADD:
+        if node.op == "^":
+            # right-associative and binds tighter than unary minus
+            if lp <= _PREC_POW:
                 lt = f"({lt})"
-            if rp <= _PREC_ADD:
+            if rp < _PREC_UNARY:
                 rt = f"({rt})"
-            return f"{lt} {node.op} {rt}", _PREC_ADD
-        if node.op in "*/":
-            if lp < _PREC_MUL:
-                lt = f"({lt})"
-            if rp <= _PREC_MUL:
-                rt = f"({rt})"
-            return f"{lt}{node.op}{rt}", _PREC_MUL
-        # '^' is right-associative and binds tighter than unary minus
-        if lp <= _PREC_POW:
+            return f"{lt}^{rt}", _PREC_POW
+        # '+ -' and '* /' are left-associative; only '+ -' is spaced
+        prec, sep = (_PREC_ADD, f" {node.op} ") if node.op in "+-" else (_PREC_MUL, node.op)
+        if lp < prec:
             lt = f"({lt})"
-        if rp < _PREC_UNARY:
+        if rp <= prec:
             rt = f"({rt})"
-        return f"{lt}^{rt}", _PREC_POW
+        return f"{lt}{sep}{rt}", prec
     raise TypeError(f"not an expression node: {node!r}")

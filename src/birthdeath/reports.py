@@ -40,7 +40,9 @@ class ExtinctionReport:
 
     ``a[0]`` is exactly 1.  For ``Certain`` classification every a[i] is 1
     and ``series_sum`` is None; for ``Uncertain`` it carries the convergent
-    normalizing sum.  ``d[i] == a[i-1] - a[i]`` exactly as computed.
+    normalizing sum.  ``d[i] == a[i-1] - a[i]`` exactly as computed.  An
+    ``Inconclusive`` report (the normalizing sum ran out of terms) has
+    empty ``a`` and ``d``, no ``series_sum``, and the terms summed.
     """
 
     classification: str
@@ -63,7 +65,9 @@ class HittingTimeReport:
     ``terms_used`` counts the terms of the one series that seeds delta at
     the top index (0 when extinction is not certain, and no series is
     summed); ``low_confidence`` flags an ``Infinite`` verdict reached
-    only at the term budget.
+    only at the term budget.  An ``Inconclusive`` report has empty
+    ``delta`` and ``omega`` and counts the terms of the series that ran
+    out, the normalizing sum or the top delta.
     """
 
     classification: str

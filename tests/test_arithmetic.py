@@ -155,6 +155,7 @@ def test_log_sqrt_domains():
         with pytest.raises(ValueError):
             arithmetic.sqrt(-ctx.one())
         assert float(arithmetic.sqrt(ctx.real(4))) == 2.0
+        assert float(arithmetic.log(ctx.real(4))) == pytest.approx(2 * math.log(2), rel=1e-15)
 
 
 def test_literal_round_trips_machine():

@@ -387,6 +387,24 @@ def test_demo_instability_breakdown_indexes(capsys):
     assert rows == [["machine", "", "18", "non_monotone"], ["extended", "70", "54", "non_monotone"]]
 
 
+def test_literal_overflowing_the_context_is_a_one_line_error(capsys):
+    for argv in (
+        ("--lambda", "1e999999999999", "--mu", "n", "--imax", "2", "--digits", "30"),
+        ("--lambda", "1", "--mu", "n", "--imax", "2", "--digits", "30", "--tol", "1e999999999999"),
+    ):
+        code, out, err = run_cli(capsys, "time", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "literal '1e999999999999' overflows the context" in err
+
+
+def test_simulate_too_many_runs_to_allocate(capsys):
+    # 2^59 runs need 4 EiB of float64, beyond any 64-bit address space
+    code, out, err = run_cli(capsys, "simulate", "--lambda", "1", "--mu", "2", "--runs", str(2**59))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -619,7 +637,82 @@ _PINNED = [
         '  "std_error_prob": "0.0"\n'
         '}\n',
         ''),
-
+    ('compare --lambda 2*n+3 --mu 2*n+1 --imax 2 --max-terms 100 --format json', 2,
+        '{\n'
+        '  "model": {\n'
+        '    "lambda": "2*n+3",\n'
+        '    "mu": "2*n+1"\n'
+        '  },\n'
+        '  "method": "StableSeries",\n'
+        '  "classification": "Inconclusive",\n'
+        '  "precision": {\n'
+        '    "mode": "machine",\n'
+        '    "digits": null\n'
+        '  },\n'
+        '  "delta": [],\n'
+        '  "omega": [],\n'
+        '  "violations": [],\n'
+        '  "terms_used": 100\n'
+        '}\n',
+        ''),
+    ('simulate --lambda 1 --mu 2 --runs 20 --seed 1 --format csv', 0,
+        'start_state,runs,extinct_runs,censored_runs,seed,time_cap,extinction_probability_estimate,mean_time_estimate,std_error_time,std_error_prob\r\n'
+        '1,20,20,0,1,100.0,1.0,0.7174780742728111,0.17818077489522927,0.0\r\n',
+        ''),
+    ('simulate --lambda 1 --mu 2 --runs 20 --seed 1 --format table', 0,
+        'model: lambda = 1   mu = 2\n'
+        'precision: machine\n'
+        '\n'
+        'start_state  runs  extinct_runs  censored_runs  seed  time_cap  extinction_probability_estimate  mean_time_estimate  std_error_time       std_error_prob\n'
+        '1            20    20            0              1     100.0     1.0                              0.7174780742728111  0.17818077489522927  0.0\n',
+        ''),
+    ('time --lambda 1 --mu 1.25-0.75*(-1)^n --imax 2 --max-terms 200 --format table', 0,
+        'model: lambda = 1   mu = 1.25-0.75*(-1)^n\n'
+        'precision: machine\n'
+        'method: StableSeries\n'
+        'classification: Infinite\n'
+        'terms_used: 200\n'
+        'low_confidence: true\n'
+        '\n'
+        'index  omega  delta\n'
+        '0      0.0    inf\n'
+        '1      inf    inf\n'
+        '2      inf\n',
+        ''),
+    ('prob --lambda 7 --mu 1 --imax 22 --naive --format table', 0,
+        'model: lambda = 7   mu = 1\n'
+        'precision: machine\n'
+        'method: NaiveRecursion\n'
+        'classification: Uncertain\n'
+        'series_sum: 1.1666666666666665\n'
+        'terms_used: 65\n'
+        'violations: 20:out_of_range, 21:out_of_range, 22:out_of_range\n'
+        '\n'
+        'index  a                       d\n'
+        '0      1.0\n'
+        '1      0.1428571428571428      0.8571428571428572\n'
+        '2      0.020408163265306062    0.12244897959183673\n'
+        '3      0.0029154518950436706   0.01749271137026239\n'
+        '4      0.00041649312786332885  0.0024989587671803417\n'
+        '5      5.949901826613716e-05   0.0003569941095971917\n'
+        '6      8.499859752252635e-06   5.0999158513884524e-05\n'
+        '7      1.2142656788405597e-06  7.285594073412075e-06\n'
+        '8      1.7346652549597752e-07  1.0407991533445822e-06\n'
+        '9      2.4780932161037196e-08  1.4868559333494032e-07\n'
+        '10     3.5401331131885793e-09  2.1240799047848617e-08\n'
+        '11     5.057332492102053e-10   3.034399863978374e-09\n'
+        '12     7.224755435615198e-11   4.3348569485405336e-10\n'
+        '13     1.0321026519858633e-11  6.192652783629334e-11\n'
+        '14     1.4743796861024406e-12  8.846646833756193e-12\n'
+        '15     2.1057299556584168e-13  1.263806690536599e-12\n'
+        '16     3.002918263204185e-14   1.8054381293379982e-13\n'
+        '17     4.2372093557847314e-15  2.579197327625712e-14\n'
+        '18     5.526417448908571e-16   3.684567610893874e-15\n'
+        '19     2.6274943334589326e-17  5.263668015562677e-16\n'
+        '20     -4.892031403059178e-17  7.51952573651811e-17\n'
+        '21     -5.966249365418907e-17  1.0742179623597292e-17\n'
+        '22     -6.119709074327439e-17  1.5345970890853204e-18\n',
+        ''),
 ]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from birthdeath import (
     CERTAIN,
+    INCONCLUSIVE,
     NAIVE_RECURSION,
     STABLE_SERIES,
     UNCERTAIN,
@@ -16,6 +17,8 @@ from birthdeath import (
     extinction_probabilities_naive,
     extinction_sum,
     make_context,
+    omega_naive,
+    omega_stable,
     pi_product,
 )
 
@@ -60,6 +63,25 @@ def test_extinction_sum_inconclusive_for_harmonic_like_terms(mctx):
     policy = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=3000)
     with pytest.raises(InconclusiveSeriesError):
         extinction_sum(model, mctx, policy)
+
+
+def test_engines_report_an_inconclusive_series(mctx):
+    # the harmonic-like normalizing sum above, cut at 100 terms: both stable
+    # engines answer with a classified report, and the naive ones relabel it
+    model = expr_model("2*n + 3", "2*n + 1", mctx)
+    policy = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=100)
+    probs = extinction_probabilities(model, 2, mctx, policy)
+    times = omega_stable(model, 2, mctx, policy)
+    for report, arrays in ((probs, (probs.a, probs.d)), (times, (times.delta, times.omega))):
+        assert report.classification == INCONCLUSIVE
+        assert report.method == STABLE_SERIES
+        assert report.terms_used == 100
+        assert arrays == ([], [])
+    assert probs.series_sum is None
+    for naive in (extinction_probabilities_naive(model, probs, mctx), omega_naive(model, times, mctx)):
+        assert naive.classification == INCONCLUSIVE
+        assert naive.method == NAIVE_RECURSION
+        assert naive.terms_used == 100
 
 
 def test_stable_probabilities_match_linear_solve_oracle(mctx):

@@ -110,6 +110,9 @@ def test_domain_errors():
         eval_expr(parse("sqrt(n - 5)"), 1, ctx)
     with pytest.raises(ExprEvalError):
         eval_expr(parse("(n - 2)^0.5"), 1, ctx)
+    with pytest.raises(ExprEvalError) as exc_info:
+        eval_expr(parse("1e999"), 1, ctx)  # a literal beyond binary64
+    assert exc_info.value.offset == 0
 
 
 def test_eval_functions():

@@ -110,6 +110,9 @@ def test_overflowing_terms_diverge(mctx):
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "1e30"), mctx, p)
     assert isinstance(out, Diverged)
     assert out.terms < DIVERGENCE_WINDOW
+    # each term finite, the running total not
+    huge = mctx.real("1e308")
+    assert sum_positive_series(iter([huge, huge]), mctx, p) == Diverged(2)
 
 
 def test_exhausted_finite_iterator_is_inconclusive(mctx):
