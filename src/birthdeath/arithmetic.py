@@ -18,6 +18,7 @@ from __future__ import annotations
 import decimal
 import math
 import operator
+import re
 from decimal import Decimal
 
 from .errors import ContextMismatchError, PrecisionError
@@ -32,19 +33,18 @@ _MIN_EXTENDED_DIGITS = 15
 _EMAX = 999_999_999
 
 _INFINITE_OPERAND = "arithmetic on infinity is not defined here"
+# A literal, in every context: optional sign, ASCII digits with at most one
+# point, optional exponent; no spaces, underscores, NaN or infinity.  Read
+# exactly by _EXACT, whatever the thread's decimal context, then rounded.
+_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN, traps=[decimal.Overflow])
 
 
 def _float_divide(a: float, b: float) -> float:
     if b == 0.0:
         raise ZeroDivisionError("division by zero")
     return a / b
-
-
-def _float_power(a: float, b: float) -> float:
-    try:
-        return math.pow(a, b)
-    except ValueError:
-        raise ValueError("negative base raised to a non-integer power") from None
 
 
 class RealContext:
@@ -56,9 +56,10 @@ class RealContext:
         if mode not in (MACHINE, EXTENDED):
             raise ValueError(f"unknown precision mode {mode!r}")
         if mode == EXTENDED:
-            if digits is None or int(digits) < _MIN_EXTENDED_DIGITS:
+            if digits is None or not _MIN_EXTENDED_DIGITS <= int(digits) <= decimal.MAX_PREC:
                 raise PrecisionError(
-                    f"extended mode requires digits >= {_MIN_EXTENDED_DIGITS}, got {digits}"
+                    f"extended mode requires {_MIN_EXTENDED_DIGITS} <= digits"
+                    f" <= {decimal.MAX_PREC}, got {digits}"
                 )
             self.digits: int | None = int(digits)
             self._dctx = decimal.Context(
@@ -101,7 +102,7 @@ class RealContext:
         Integers are rounded to the context: exact up to 2^53 at machine
         precision, and to ``digits`` significant digits in extended mode
         (at 15 digits, ``10**20 + 1`` becomes ``1.00000000000000E+20``).
-        Strings are decimal literals with optional fraction and exponent.
+        Strings are literals as ``_LITERAL`` defines them, read exactly.
         A Real from an equivalent context passes through; any other Real
         is a hard failure.
         """
@@ -125,19 +126,12 @@ class RealContext:
         raise TypeError(f"cannot make a Real from {type(value).__name__}")
 
     def _from_literal(self, text: str) -> "Real":
-        if self.is_machine:
-            if math.isnan(float(text)):
-                raise ValueError(f"not a real number literal: {text!r}")
-            return self._apply(float, None, text)
+        if _LITERAL.fullmatch(text) is None:
+            raise ValueError(f"not a real number literal: {text!r}")
         try:
-            v = self._dctx.create_decimal(text)
-            if v.is_finite():
-                return Real(self, v)
-        except decimal.InvalidOperation:
-            raise ValueError(f"not a real number literal: {text!r}") from None
-        except decimal.Overflow:
-            pass
-        raise OverflowError(f"literal {text!r} overflows the context")
+            return self._apply(float, "create_decimal", _EXACT.create_decimal(text))
+        except (OverflowError, decimal.Overflow):
+            raise OverflowError(f"literal {text!r} overflows the context") from None
 
     def zero(self) -> "Real":
         return self.real(0)
@@ -153,11 +147,14 @@ class RealContext:
 
     # -- internal op plumbing ---------------------------------------------
 
-    def _apply(self, f_float, dec_op: str | None, *operands) -> "Real":
+    def _apply(self, f_float, dec_op: str, *operands) -> "Real":
         """``f_float`` at machine precision, else the ``decimal.Context`` method
-        ``dec_op``; overflow and each trapped condition become builtin errors."""
+        ``dec_op``; callers check domains first, so only rounding differs."""
         if self.is_machine:
-            v = f_float(*operands)
+            try:
+                v = f_float(*operands)
+            except OverflowError:  # how math.exp and math.pow report it
+                v = math.inf
             if not math.isfinite(v):
                 raise OverflowError("operation overflowed machine precision")
             return Real(self, v)
@@ -165,17 +162,16 @@ class RealContext:
             return Real(self, getattr(self._dctx, dec_op)(*operands))
         except decimal.Overflow as exc:
             raise OverflowError("operation overflowed the extended context") from exc
-        except decimal.DivisionByZero as exc:
+        except (decimal.DivisionByZero, decimal.InvalidOperation) as exc:
+            # the domain checks leave only a zero divisor: x/0, and 0/0, invalid to decimal
             raise ZeroDivisionError("division by zero") from exc
-        except decimal.InvalidOperation as exc:
-            raise ValueError(f"invalid operation: {exc}") from exc
 
 
 def make_context(mode: str, digits: int | None = None) -> RealContext:
     """Build a :class:`RealContext`.
 
     ``mode`` is ``"machine"`` or ``"extended"``.  Machine mode ignores
-    ``digits``; extended mode requires ``digits >= 15``.
+    ``digits``; extended mode requires ``15 <= digits <= decimal.MAX_PREC``.
     """
     return RealContext(mode, digits)
 
@@ -236,14 +232,6 @@ class Real:
             return Decimal(other)
         return None
 
-    def _guard_finite(self, *operands):
-        for v in operands:
-            if isinstance(v, float):
-                if math.isinf(v):
-                    raise ValueError(_INFINITE_OPERAND)
-            elif isinstance(v, Decimal) and v.is_infinite():
-                raise ValueError(_INFINITE_OPERAND)
-
     def _binop(self, other, f_float, dec_op: str):
         """``self <op> other``: f_float at machine precision, else the named
         method of the context's ``decimal.Context``."""
@@ -298,13 +286,20 @@ class Real:
         return Real(self.ctx, o).__truediv__(self)
 
     def __pow__(self, other):
+        """``x^0 = 1`` for finite x; a negative base takes integer exponents only."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        self._guard_finite(self._v, o)
-        if self._v == 0 and o < 0:
+        a, ctx = self._v, self.ctx
+        if self.is_infinite() or Real(ctx, o).is_infinite():
+            raise ValueError(_INFINITE_OPERAND)
+        if o == 0:
+            return ctx.one()
+        if a == 0 and o < 0:
             raise ZeroDivisionError("zero raised to a negative power")
-        return self.ctx._apply(_float_power, "power", self._v, o)
+        if a < 0 and not (o.is_integer() if ctx.is_machine else o == o.to_integral_value()):
+            raise ValueError("negative base raised to a non-integer power")
+        return ctx._apply(math.pow, "power", a, o)
 
     def __neg__(self):
         if self.ctx.is_machine:
@@ -331,7 +326,9 @@ class Real:
     def __eq__(self, other):
         try:
             o = self._cmp_operand(other)
-        except TypeError:
+        except ContextMismatchError:
+            raise
+        except TypeError:  # not a number: the other operand decides
             return NotImplemented
         return self._v == o
 

@@ -223,9 +223,9 @@ def main(argv: list[str] | None = None) -> int:
         exc.show()
         return 1
     # one-line errors: the package's own are ValueErrors or ArithmeticErrors,
-    # and a request too large to allocate is a MemoryError
+    # and a request too large to allocate is a MemoryError, often without text
     except (ValueError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -113,12 +113,15 @@ def omega_stable(
     series and the lower deltas follow by the downward step.  If that
     series diverges, every delta, being finite exactly when its neighbours
     are, is infinite, and so is every omega past omega[0].  If either
-    series exhausts the term budget, the report is ``Inconclusive``.
+    series exhausts the term budget, the report is ``Inconclusive``.  The
+    report is low-confidence when either verdict it rests on is: certain
+    extinction, its premise, or an infinite top delta.
     """
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     try:
-        if isinstance(extinction_sum(model, ctx, policy), Converged):
+        premise = extinction_sum(model, ctx, policy)
+        if isinstance(premise, Converged):
             return HittingTimeReport(
                 classification=NOT_CERTAIN_EXTINCTION,
                 delta=[],
@@ -143,7 +146,7 @@ def omega_stable(
             omega=[ctx.zero()] + [inf] * i_max,
             method=STABLE_SERIES,
             terms_used=top.terms,
-            low_confidence=top.low_confidence,
+            low_confidence=premise.low_confidence or top.low_confidence,
         )
     one = ctx.one()
     delta = [top.total]
@@ -156,6 +159,7 @@ def omega_stable(
         omega=list(accumulate(delta, initial=ctx.zero())),
         method=STABLE_SERIES,
         terms_used=top.terms,
+        low_confidence=premise.low_confidence,
     )
 
 

@@ -254,7 +254,7 @@ def eval_expr(expr: RateExpr, n: int, ctx: RealContext) -> Real:
     Pure: identical (expr, n, ctx) triples give bit-identical results.
     Division by zero, log of a non-positive value, sqrt of a negative
     value, and overflow raise :class:`ExprEvalError` pointing at the
-    offending node.
+    offending node, worded as the arithmetic layer words them.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"state index must be a non-negative integer, got {n!r}")
@@ -274,9 +274,7 @@ def _eval(node: RateExpr, n: int, ctx: RealContext) -> Real:
             return _OPERATORS[node.op](_eval(node.left, n, ctx), _eval(node.right, n, ctx))
         if isinstance(node, Call):
             return _FUNCTIONS[node.func][1](*[_eval(a, n, ctx) for a in node.args])
-    except ZeroDivisionError as exc:
-        raise ExprEvalError("division by zero", node.pos) from exc
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         where = f"{node.func}: " if isinstance(node, Call) else ""
         raise ExprEvalError(f"{where}{exc}", node.pos) from exc
     raise TypeError(f"not an expression node: {node!r}")

@@ -64,10 +64,12 @@ class HittingTimeReport:
     accumulated as the prefix sum of delta.  ``omega[0]`` is exactly 0.
     ``terms_used`` counts the terms of the one series that seeds delta at
     the top index (0 when extinction is not certain, and no series is
-    summed); ``low_confidence`` flags an ``Infinite`` verdict reached
-    only at the term budget.  An ``Inconclusive`` report has empty
-    ``delta`` and ``omega`` and counts the terms of the series that ran
-    out, the normalizing sum or the top delta.
+    summed); ``low_confidence`` flags a report resting on a verdict reached
+    only at the term budget: certain extinction (the premise of every
+    ``Finite`` or ``Infinite`` report) or an infinite top delta.  An
+    ``Inconclusive`` report has empty ``delta`` and ``omega`` and counts
+    the terms of the series that ran out, the normalizing sum or the top
+    delta.
     """
 
     classification: str

@@ -89,9 +89,14 @@ def test_context_mixing_is_hard_failure():
         a + b
     with pytest.raises(ContextMismatchError):
         a < b
+    with pytest.raises(ContextMismatchError):
+        a >= b
+    with pytest.raises(ContextMismatchError):
+        a.ctx.real(b)
     # contexts with equal mode and digits are interchangeable
     c = make_context("extended", 30).real(2)
     assert float(a + c) == 3.0
+    assert a.ctx.real(c) is c
 
 
 def test_machine_and_extended_do_not_mix():
@@ -99,6 +104,10 @@ def test_machine_and_extended_do_not_mix():
     b = make_context("extended", 30).real(1)
     with pytest.raises(ContextMismatchError):
         a * b
+    with pytest.raises(ContextMismatchError):
+        a == b
+    with pytest.raises(ContextMismatchError):
+        a != b
 
 
 def test_int_operands_widen_exactly():
@@ -119,6 +128,11 @@ def test_overflow_is_error_not_infinity():
     bige = e.real("1e999999999")
     with pytest.raises(OverflowError):
         bige * bige
+    # machine overflow reads the same from an operator, ^ and exp
+    for overflow in (lambda: big * 10, lambda: ctx.real(10) ** ctx.real(400),
+                     lambda: arithmetic.exp(ctx.real(1000))):
+        with pytest.raises(OverflowError, match="^operation overflowed machine precision$"):
+            overflow()
 
 
 def test_infinity_only_by_construction():
@@ -135,6 +149,8 @@ def test_division_by_zero():
     for ctx in (make_context("machine"), make_context("extended", 20)):
         with pytest.raises(ZeroDivisionError):
             ctx.one() / ctx.zero()
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            ctx.zero() / ctx.zero()
 
 
 def test_pow_domain_errors():
@@ -144,6 +160,15 @@ def test_pow_domain_errors():
         assert float(ctx.real(-2) ** ctx.real(3)) == -8.0
         with pytest.raises(ZeroDivisionError):
             ctx.zero() ** ctx.real(-1)
+        # one domain in both precisions, and one wording
+        for base in ("0", "-2.5", "3", "1e-300"):
+            assert (ctx.real(base) ** ctx.zero()).literal() == ctx.one().literal()
+        with pytest.raises(ValueError, match="^negative base raised to a non-integer power$"):
+            ctx.real(-2) ** ctx.real("0.5")
+        with pytest.raises(ZeroDivisionError, match="^zero raised to a negative power$"):
+            ctx.zero() ** ctx.real(-1)
+        with pytest.raises(ValueError, match="^arithmetic on infinity is not defined here$"):
+            ctx.infinity() ** ctx.zero()
 
 
 def test_log_sqrt_domains():
@@ -174,6 +199,19 @@ def test_literal_rejects_garbage():
     e = make_context("extended", 20)
     with pytest.raises(ValueError):
         e.real("five")
+    # one literal rule in every context; only the range is the context's
+    for c in (ctx, e):
+        for text in ("nan", "inf", "-Infinity", "1_000", " 1", "1 ", "0x10", "", "1e", "+", "\u0661"):
+            with pytest.raises(ValueError, match="^not a real number literal: "):
+                c.real(text)
+        for text in ("1.", ".5", "+2", "-0", "2.5E-3"):
+            assert float(c.real(text)) == float(text)
+        with pytest.raises(OverflowError, match="^literal '1e999999999999' overflows the context$"):
+            c.real("1e999999999999")
+    # 1e999 overflows binary64 only
+    with pytest.raises(OverflowError, match="^literal '1e999' overflows the context$"):
+        ctx.real("1e999")
+    assert e.real("1e999").literal() == "1E+999"
 
 
 def test_real_rejects_other_types():
@@ -190,3 +228,11 @@ def test_total_order_on_finite_values():
     values = [ctx.real(x) for x in ("3", "-1", "0", "2.5")]
     ordered = sorted(values)
     assert [float(v) for v in ordered] == [-1.0, 0.0, 2.5, 3.0]
+    assert values[0] >= values[3] and not values[2] >= values[3]
+    # a Real from an equal but distinct context compares through _coerce
+    assert make_context("extended", 20).real(3) >= values[0]
+    # a non-number is not equal, and is not ordered
+    assert values[0].__eq__("3") is NotImplemented
+    assert values[0] != "3"
+    with pytest.raises(TypeError):
+        values[0] < "3"

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal
 
 import pytest
 
@@ -396,6 +396,76 @@ def test_literal_overflowing_the_context_is_a_one_line_error(capsys):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "literal '1e999999999999' overflows the context" in err
+
+
+# Each request runs as ``time --mu n --imax 2`` plus these arguments, at
+# machine precision and at 30 digits.  The literal, the negative base, 0/0
+# and 0^0 do not depend on range, so both precisions must end alike.
+_SAME_IN_BOTH = [
+    ("--lambda", "1", "--tol", "nan"),
+    ("--lambda", "1", "--tol", "inf"),
+    ("--lambda", "1", "--tol", "abc"),
+    ("--lambda", "1", "--tol", "1_000"),
+    ("--lambda", "(-2)^0.5"),
+    ("--lambda", "1+(n-1)/(n-1)"),
+    ("--lambda", "1+0^0"),
+    ("--lambda", "1+0^(-1)"),
+    ("--lambda", "1e999999999999"),
+]
+_RANGE_DEPENDENT = [
+    ("--lambda", "1e999"),
+    ("--lambda", "exp(1000)"),
+    ("--lambda", "10^400"),
+]
+
+
+def test_one_arithmetic_contract_for_both_precisions(capsys):
+    def run(args, digits):
+        return run_cli(capsys, "time", "--mu", "n", "--imax", "2", *args, *digits)
+
+    for args in _SAME_IN_BOTH + _RANGE_DEPENDENT:
+        for digits in ((), ("--digits", "30")):
+            code, _, err = run(args, digits)
+            for leak in ("math range error", "decimal.", "could not convert", "Python int"):
+                assert leak not in err
+            assert err.count("\n") == (code == 1)
+    for args in _SAME_IN_BOTH:
+        machine, extended = run(args, ()), run(args, ("--digits", "30"))
+        assert (machine[0], machine[2]) == (extended[0], extended[2])
+    assert run(("--lambda", "1+0^0"), ())[0] == 0
+    assert run(("--lambda", "1+0^0"), ("--digits", "30"))[0] == 0
+    assert run(("--lambda", "1+0^(-1)"), ())[2] == (
+        "error: evaluation error at offset 3: zero raised to a negative power\n")
+    assert run(("--lambda", "1", "--tol", "nan"), ())[2] == (
+        "error: not a real number literal: 'nan'\n")
+    for literal in ("1e999", "1e999999999999"):
+        assert run(("--lambda", "1", "--tol", literal), ())[2] == (
+            f"error: literal '{literal}' overflows the context\n")
+    assert run(("--lambda", "1", "--tol", "1e999999999999"), ("--digits", "30"))[2] == (
+        "error: literal '1e999999999999' overflows the context\n")
+    # machine overflow reads the same from a literal, a function and an operator
+    for args, where in ((("--lambda", "exp(1000)"), "0: exp: "), (("--lambda", "10^400"), "2: ")):
+        assert run(args, ()) == (
+            1, "", f"error: evaluation error at offset {where}operation overflowed machine precision\n")
+        assert run(args, ("--digits", "30"))[0] == 0
+
+
+def test_demo_instability_zero_power_is_one(capsys):
+    args = ("--mu", "n", "--imax", "30", "--format", "csv")
+    constant = run_cli(capsys, "demo-instability", "--lambda", "1", *args)
+    assert constant[0] == 0
+    assert run_cli(capsys, "demo-instability", "--lambda", "(n-1)^0", *args) == constant
+
+
+def test_digits_out_of_range_are_named(capsys):
+    for digits in (str(10 * MAX_PREC), str(MAX_PREC + 2)):
+        code, out, err = run_cli(capsys, "time", "--lambda", "1", "--mu", "n", "--digits", digits)
+        assert (code, out) == (1, "")
+        assert err == f"error: extended mode requires 15 <= digits <= {MAX_PREC}, got {digits}\n"
+    # the largest precision decimal allows builds, but nothing fits in memory
+    code, out, err = run_cli(
+        capsys, "time", "--lambda", "1", "--mu", "n", "--digits", str(MAX_PREC))
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
 
 
 def test_simulate_too_many_runs_to_allocate(capsys):

@@ -152,6 +152,17 @@ def test_low_confidence_infinite_is_reported(mctx):
     assert report.terms_used == 1000
 
 
+def test_low_confidence_extinction_carries_into_the_time_report(mctx):
+    # certain extinction is called only at the budget (the pi ratios
+    # alternate 2 and 1/2); the top delta converges on its own
+    model = expr_model("exp(n)", "exp(n)*(1.25 - 0.75*(-1)^n)", mctx)
+    policy = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=200)
+    report = omega_stable(model, 3, mctx, policy)
+    assert report.classification == FINITE
+    assert report.low_confidence
+    assert omega_naive(model, report, mctx).low_confidence
+
+
 def test_naive_benign_case_no_violations(mctx):
     model = expr_model("1", "2", mctx)
     report = omega_naive(model, omega_stable(model, 5, mctx), mctx)
