@@ -11,6 +11,14 @@ Values are immutable :class:`Real` wrappers.  Combining values from
 contexts with different precision raises :class:`ContextMismatchError`;
 positive infinity is representable (for infinite expected times) but never
 produced by arithmetic, which raises ``OverflowError`` instead.
+
+The arithmetic itself is a set of raw operations that each context carries
+(``ctx.add``, ``ctx.mul``, ``ctx.power``, ...) over its raw values,
+``float`` or ``Decimal``; a decimal one runs in the context's own
+``decimal.Context``, never the thread's.  :class:`Real` operators call
+them, and so do the loops that run on raw values (the series engines and
+compiled rate expressions), so every result and every error text is
+decided once, here.
 """
 
 from __future__ import annotations
@@ -47,10 +55,44 @@ def _float_divide(a: float, b: float) -> float:
     return a / b
 
 
-class RealContext:
-    """Precision contract: machine binary64 or extended decimal digits."""
+def _float_op(f, isfinite=math.isfinite):
+    """``f`` over one or two floats; a result that is not finite is machine overflow."""
+    def op(a, b=None):
+        try:
+            v = f(a) if b is None else f(a, b)
+        except OverflowError:  # how math.exp and math.pow report it
+            v = math.inf
+        if isfinite(v):
+            return v
+        raise OverflowError("operation overflowed machine precision")
+    return op
 
-    __slots__ = ("mode", "digits", "_dctx", "is_machine", "_literals")
+
+def _decimal_op(method):
+    """A ``decimal.Context`` method of one or two operands, its trapped signals
+    raised as :func:`_float_op` raises; callers check domains first."""
+    def op(a, b=None):
+        try:
+            return method(a) if b is None else method(a, b)
+        except decimal.Overflow as exc:
+            raise OverflowError("operation overflowed the extended context") from exc
+        except (decimal.DivisionByZero, decimal.InvalidOperation) as exc:
+            # the domain checks leave only a zero divisor: x/0, and 0/0, invalid to decimal
+            raise ZeroDivisionError("division by zero") from exc
+    return op
+
+
+class RealContext:
+    """Precision contract: machine binary64 or extended decimal digits.
+
+    Raw operations: ``add``, ``sub``, ``mul``, ``div``, ``neg``, ``abs``,
+    ``exp``, and the domain-checked ``power``, ``log`` and ``sqrt``;
+    ``from_int`` rounds an integer into the context.
+    """
+
+    __slots__ = ("mode", "digits", "_dctx", "is_machine", "_literals",
+                 "add", "sub", "mul", "div", "neg", "abs", "exp", "from_int",
+                 "_round", "_pow", "_log", "_sqrt")
 
     def __init__(self, mode: str, digits: int | None = None):
         if mode not in (MACHINE, EXTENDED):
@@ -62,17 +104,28 @@ class RealContext:
                     f" <= {decimal.MAX_PREC}, got {digits}"
                 )
             self.digits: int | None = int(digits)
-            self._dctx = decimal.Context(
+            dctx = self._dctx = decimal.Context(
                 prec=self.digits,
                 rounding=decimal.ROUND_HALF_EVEN,
                 Emin=-_EMAX,
                 Emax=_EMAX,
                 traps=[decimal.Overflow, decimal.InvalidOperation, decimal.DivisionByZero],
             )
+            (self.add, self.sub, self.mul, self.div, self.neg, self.abs, self.exp,
+             self._round, self._pow, self._log, self._sqrt) = map(_decimal_op, (
+                dctx.add, dctx.subtract, dctx.multiply, dctx.divide, dctx.minus, dctx.abs,
+                dctx.exp, dctx.create_decimal, dctx.power, dctx.ln, dctx.sqrt))
+            self.from_int = lambda n: dctx.plus(Decimal(n))
         else:
             # Machine mode ignores the digits argument.
             self.digits = None
             self._dctx = None
+            # negation and abs are exact in binary64
+            self.neg, self.abs, self.from_int = operator.neg, abs, float
+            (self.add, self.sub, self.mul, self.div, self.exp,
+             self._round, self._pow, self._log, self._sqrt) = map(_float_op, (
+                operator.add, operator.sub, operator.mul, _float_divide, math.exp,
+                float, math.pow, math.log, math.sqrt))
         self.mode = mode
         self.is_machine = mode == MACHINE
         self._literals: dict[str, Real] = {}
@@ -88,6 +141,10 @@ class RealContext:
 
     def __hash__(self):
         return hash((self.mode, self.digits))
+
+    def __reduce__(self):
+        # the raw operations are closures: a copy rebuilds them from (mode, digits)
+        return RealContext, (self.mode, self.digits)
 
     def __repr__(self):
         if self.mode == MACHINE:
@@ -109,9 +166,7 @@ class RealContext:
         if isinstance(value, bool):
             raise TypeError("bool is not a real number")
         if isinstance(value, int):
-            if self.is_machine:
-                return Real(self, float(value))
-            return Real(self, self._dctx.plus(Decimal(value)))
+            return Real(self, self.from_int(value))
         if isinstance(value, str):
             literal = self._literals.get(value)
             if literal is None:
@@ -129,7 +184,7 @@ class RealContext:
         if _LITERAL.fullmatch(text) is None:
             raise ValueError(f"not a real number literal: {text!r}")
         try:
-            return self._apply(float, "create_decimal", _EXACT.create_decimal(text))
+            return Real(self, self._round(_EXACT.create_decimal(text)))
         except (OverflowError, decimal.Overflow):
             raise OverflowError(f"literal {text!r} overflows the context") from None
 
@@ -145,26 +200,33 @@ class RealContext:
             return Real(self, math.inf)
         return Real(self, Decimal("Infinity"))
 
-    # -- internal op plumbing ---------------------------------------------
+    def reals(self, values) -> list["Real"]:
+        """Raw values of this context as a list of Reals."""
+        return [Real(self, v) for v in values]
 
-    def _apply(self, f_float, dec_op: str, *operands) -> "Real":
-        """``f_float`` at machine precision, else the ``decimal.Context`` method
-        ``dec_op``; callers check domains first, so only rounding differs."""
-        if self.is_machine:
-            try:
-                v = f_float(*operands)
-            except OverflowError:  # how math.exp and math.pow report it
-                v = math.inf
-            if not math.isfinite(v):
-                raise OverflowError("operation overflowed machine precision")
-            return Real(self, v)
-        try:
-            return Real(self, getattr(self._dctx, dec_op)(*operands))
-        except decimal.Overflow as exc:
-            raise OverflowError("operation overflowed the extended context") from exc
-        except (decimal.DivisionByZero, decimal.InvalidOperation) as exc:
-            # the domain checks leave only a zero divisor: x/0, and 0/0, invalid to decimal
-            raise ZeroDivisionError("division by zero") from exc
+    # -- raw operations with a domain ----------------------------------------
+
+    def power(self, a, b):
+        """``a^b``: ``x^0 = 1`` for every x; a negative base takes integer exponents only."""
+        if b == 0:
+            return self.from_int(1)
+        if a == 0 and b < 0:
+            raise ZeroDivisionError("zero raised to a negative power")
+        if a < 0 and not (b.is_integer() if self.is_machine else b == b.to_integral_value()):
+            raise ValueError("negative base raised to a non-integer power")
+        return self._pow(a, b)
+
+    def log(self, a):
+        """Natural logarithm; rejects non-positive arguments."""
+        if a <= 0:
+            raise ValueError("log of a non-positive value")
+        return self._log(a)
+
+    def sqrt(self, a):
+        """Square root; rejects negative arguments."""
+        if a < 0:
+            raise ValueError("sqrt of a negative value")
+        return self._sqrt(a)
 
 
 def make_context(mode: str, digits: int | None = None) -> RealContext:
@@ -208,6 +270,9 @@ class Real:
             return repr(self._v)
         return str(self._v)
 
+    raw = property(operator.attrgetter("_v"),
+                   doc="The ``float`` or ``Decimal`` this value carries, for the raw operations.")
+
     def __float__(self) -> float:
         return float(self._v)
 
@@ -232,9 +297,8 @@ class Real:
             return Decimal(other)
         return None
 
-    def _binop(self, other, f_float, dec_op: str):
-        """``self <op> other``: f_float at machine precision, else the named
-        method of the context's ``decimal.Context``."""
+    def _binop(self, other, op: str):
+        """``self <op> other`` by the context's raw operation named ``op``."""
         a, ctx = self._v, self.ctx
         if other.__class__ is Real and other.ctx is ctx:
             o = other._v  # the common case, without a call to _coerce
@@ -242,27 +306,21 @@ class Real:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        if ctx.is_machine:
-            if math.isinf(a) or math.isinf(o):
-                raise ValueError(_INFINITE_OPERAND)
-            v = f_float(a, o)
-            if not math.isfinite(v):
-                raise OverflowError("operation overflowed machine precision")
-            return Real(ctx, v)
-        if a.is_infinite() or o.is_infinite():
+        if (math.isinf(a) or math.isinf(o)) if ctx.is_machine else (
+                a.is_infinite() or o.is_infinite()):
             raise ValueError(_INFINITE_OPERAND)
-        return ctx._apply(f_float, dec_op, a, o)
+        return Real(ctx, getattr(ctx, op)(a, o))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        return self._binop(other, operator.add, "add")
+        return self._binop(other, "add")
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return self._binop(other, operator.sub, "subtract")
+        return self._binop(other, "sub")
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -271,13 +329,13 @@ class Real:
         return Real(self.ctx, o).__sub__(self)
 
     def __mul__(self, other):
-        return self._binop(other, operator.mul, "multiply")
+        return self._binop(other, "mul")
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        return self._binop(other, _float_divide, "divide")
+        return self._binop(other, "div")
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -287,29 +345,13 @@ class Real:
 
     def __pow__(self, other):
         """``x^0 = 1`` for finite x; a negative base takes integer exponents only."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, ctx = self._v, self.ctx
-        if self.is_infinite() or Real(ctx, o).is_infinite():
-            raise ValueError(_INFINITE_OPERAND)
-        if o == 0:
-            return ctx.one()
-        if a == 0 and o < 0:
-            raise ZeroDivisionError("zero raised to a negative power")
-        if a < 0 and not (o.is_integer() if ctx.is_machine else o == o.to_integral_value()):
-            raise ValueError("negative base raised to a non-integer power")
-        return ctx._apply(math.pow, "power", a, o)
+        return self._binop(other, "power")
 
     def __neg__(self):
-        if self.ctx.is_machine:
-            return Real(self.ctx, -self._v)
-        return self.ctx._apply(None, "minus", self._v)
+        return Real(self.ctx, self.ctx.neg(self._v))
 
     def __abs__(self):
-        if self.ctx.is_machine:
-            return Real(self.ctx, abs(self._v))
-        return self.ctx._apply(None, "abs", self._v)
+        return Real(self.ctx, self.ctx.abs(self._v))
 
     # -- comparisons (total order; infinity compares greater) ----------------
 
@@ -354,18 +396,14 @@ def constant_e(ctx: RealContext) -> Real:
 
 
 def exp(x: Real) -> Real:
-    return x.ctx._apply(math.exp, "exp", x._v)
+    return Real(x.ctx, x.ctx.exp(x._v))
 
 
 def log(x: Real) -> Real:
     """Natural logarithm; rejects non-positive arguments."""
-    if x <= 0:
-        raise ValueError("log of a non-positive value")
-    return x.ctx._apply(math.log, "ln", x._v)
+    return Real(x.ctx, x.ctx.log(x._v))
 
 
 def sqrt(x: Real) -> Real:
     """Square root; rejects negative arguments."""
-    if x < 0:
-        raise ValueError("sqrt of a negative value")
-    return x.ctx._apply(math.sqrt, "sqrt", x._v)
+    return Real(x.ctx, x.ctx.sqrt(x._v))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from decimal import Decimal
 
 import click
 
@@ -64,7 +65,10 @@ def _request(digits: int | None, lambda_src: str, mu_src: str, tol: str | None,
     policy = SeriesPolicy.default(ctx)
     changes = {}
     if tol is not None:
-        changes["rel_tol"] = ctx.real(tol)
+        rel_tol = changes["rel_tol"] = ctx.real(tol)
+        # the literal is valid, so Decimal reads it exactly
+        if rel_tol.is_zero() and Decimal(tol) != 0:
+            raise ValueError(f"tolerance {tol!r} underflows the context")
     if max_terms is not None:
         changes["max_terms"] = max_terms
     return ctx, model, dataclasses.replace(policy, **changes) if changes else policy
@@ -232,3 +236,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

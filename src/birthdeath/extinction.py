@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import accumulate, islice
-from operator import sub
 from typing import Iterator
 
 from .arithmetic import Real, RealContext
@@ -50,15 +49,18 @@ def pi_product(model: RateModel, k: int, ctx: RealContext) -> Real:
     """Product of death(n)/birth(n) over n = 1..k-1; 1 for k = 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return next(islice(_pi_terms(model, ctx), k - 1, None))
+    return Real(ctx, next(islice(_pi_terms(model, ctx), k - 1, None)))
 
 
-def _pi_terms(model: RateModel, ctx: RealContext) -> Iterator[Real]:
-    term = ctx.one()
+def _pi_terms(model: RateModel, ctx: RealContext) -> Iterator:
+    """pi_1, pi_2, ... as raw values of ``ctx``."""
+    birth, death = model.raw(ctx)
+    mul, div = ctx.mul, ctx.div
+    term = ctx.one().raw
     yield term
     n = 1
     while True:
-        term = term * model.death(n) / model.birth(n)
+        term = div(mul(term, death(n)), birth(n))
         yield term
         n += 1
 
@@ -104,13 +106,13 @@ def extinction_probabilities(
             method=STABLE_SERIES,
             low_confidence=outcome.low_confidence,
         )
-    total = outcome.total
-    d = [pi / total for pi in islice(_pi_terms(model, ctx), i_max)]
+    total, div = outcome.total.raw, ctx.div
+    d = [div(pi, total) for pi in islice(_pi_terms(model, ctx), i_max)]
     return ExtinctionReport(
         classification=UNCERTAIN,
-        series_sum=total,
-        a=list(accumulate(d, sub, initial=ctx.one())),
-        d=d,
+        series_sum=outcome.total,
+        a=ctx.reals(accumulate(d, ctx.sub, initial=ctx.one().raw)),
+        d=ctx.reals(d),
         terms_used=outcome.terms,
         method=STABLE_SERIES,
     )

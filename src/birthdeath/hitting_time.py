@@ -76,12 +76,15 @@ __all__ = [
 ]
 
 
-def _delta_terms(model: RateModel, i: int, ctx: RealContext) -> Iterator[Real]:
-    term = ctx.one() / model.death(i + 1)
+def _delta_terms(model: RateModel, i: int, ctx: RealContext) -> Iterator:
+    """The terms of delta_i as raw values of ``ctx``."""
+    birth, death = model.raw(ctx)
+    mul, div = ctx.mul, ctx.div
+    term = div(ctx.one().raw, death(i + 1))
     yield term
     n = i + 1
     while True:
-        term = term * model.birth(n) / model.death(n + 1)
+        term = div(mul(term, birth(n)), death(n + 1))
         yield term
         n += 1
 
@@ -148,15 +151,17 @@ def omega_stable(
             terms_used=top.terms,
             low_confidence=premise.low_confidence or top.low_confidence,
         )
-    one = ctx.one()
-    delta = [top.total]
+    birth, death = model.raw(ctx)
+    add, mul, div = ctx.add, ctx.mul, ctx.div
+    one = ctx.one().raw
+    delta = [top.total.raw]
     for i in range(i_max - 1, 0, -1):
-        delta.append((one + model.birth(i) * delta[-1]) / model.death(i))
+        delta.append(div(add(one, mul(birth(i), delta[-1])), death(i)))
     delta.reverse()
     return HittingTimeReport(
         classification=FINITE,
-        delta=delta,
-        omega=list(accumulate(delta, initial=ctx.zero())),
+        delta=ctx.reals(delta),
+        omega=ctx.reals(accumulate(delta, add, initial=ctx.zero().raw)),
         method=STABLE_SERIES,
         terms_used=top.terms,
         low_confidence=premise.low_confidence,

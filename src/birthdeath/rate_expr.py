@@ -16,31 +16,35 @@ The only variable is ``n``.  Functions: ``exp``, ``log``, ``sqrt`` (one
 argument), ``min``, ``max`` (two arguments).  There is no implicit
 multiplication: ``2n`` is a syntax error, write ``2*n``.
 
-Number literals are kept as text and widened to the evaluating context's
-precision at eval time, so one parsed tree serves every precision.
+Number literals are kept as text, so one parsed tree serves every
+precision.  :func:`compile_expr` turns a tree, once per context, into one
+function from the state index to a raw context value (``float`` or
+``Decimal``), built from the context's raw operations; a literal is read
+into the context then, and a failure it causes is raised at evaluation.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
-from . import arithmetic
 from .arithmetic import Real, RealContext
 from .errors import ExprEvalError, ExprSyntaxError
 
 __all__ = [
     "RateExpr", "Number", "Variable", "Unary", "Binary", "Call",
-    "parse", "eval_expr", "pretty",
+    "parse", "compile_expr", "eval_expr", "pretty",
 ]
 
-# function name -> (arity, implementation); binary operator -> implementation
-_FUNCTIONS = {"exp": (1, arithmetic.exp), "log": (1, arithmetic.log),
-              "sqrt": (1, arithmetic.sqrt), "min": (2, min), "max": (2, max)}
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "^": operator.pow}
+# function name -> arity; each is the RealContext raw operation of that
+# name, except min and max, which compare raw values exactly as they are
+_FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "min": 2, "max": 2}
+_COMPARISONS = {"min": min, "max": max}
+# binary operator -> name of the RealContext raw operation
+_OPERATORS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "power"}
+# what the raw operations raise; an evaluation reports it at the failing node
+_EVAL_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
 _VARIABLE = "n"
 
@@ -213,7 +217,7 @@ class _Parser:
             else:
                 break
         self.expect_op(")")
-        arity = _FUNCTIONS[func][0]
+        arity = _FUNCTIONS[func]
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"{func} expects {arity} argument(s), got {len(args)}", pos
@@ -248,36 +252,65 @@ def _check_depth(tree: RateExpr) -> None:
             stack.extend((arg, depth + 1) for arg in node.args)
 
 
+def compile_expr(expr: RateExpr, ctx: RealContext) -> Callable[[int], object]:
+    """``expr`` under ``ctx`` as one function from a state index to a raw value.
+
+    The function returns a ``float`` or ``Decimal`` of ``ctx`` and is pure:
+    one n gives bit-identical results.  Division by zero, log of a
+    non-positive value, sqrt of a negative value, and overflow raise
+    :class:`ExprEvalError` pointing at the offending node, worded as the
+    arithmetic layer words them.  A literal the context cannot hold fails
+    the same way, when the function is called.
+    """
+    if isinstance(expr, Variable):
+        return ctx.from_int
+    if isinstance(expr, Unary):
+        operand, neg = compile_expr(expr.operand, ctx), ctx.neg
+        return lambda n: neg(operand(n))
+    if isinstance(expr, Number):
+        try:
+            value = ctx.real(expr.literal).raw
+        except _EVAL_ERRORS as exc:
+            return _failing(expr, exc)
+        return lambda n: value
+    if isinstance(expr, Binary):
+        apply, args = getattr(ctx, _OPERATORS[expr.op]), (expr.left, expr.right)
+    elif isinstance(expr, Call):
+        apply, args = _COMPARISONS.get(expr.func) or getattr(ctx, expr.func), expr.args
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    left = compile_expr(args[0], ctx)
+    right = compile_expr(args[1], ctx) if len(args) == 2 else None
+
+    def node(n):
+        # a child's failure arrives as an ExprEvalError and passes through
+        try:
+            return apply(left(n)) if right is None else apply(left(n), right(n))
+        except _EVAL_ERRORS as exc:
+            raise _eval_error(expr, exc) from exc
+    return node
+
+
+def _eval_error(node: RateExpr, exc: Exception) -> ExprEvalError:
+    where = f"{node.func}: " if isinstance(node, Call) else ""
+    return ExprEvalError(f"{where}{exc}", node.pos)
+
+
+def _failing(node: RateExpr, exc: Exception):
+    def fail(n):
+        raise _eval_error(node, exc) from exc
+    return fail
+
+
 def eval_expr(expr: RateExpr, n: int, ctx: RealContext) -> Real:
-    """Evaluate ``expr`` at state index ``n`` under ``ctx``.
+    """Evaluate ``expr`` at state index ``n`` under ``ctx``: compile, then call.
 
     Pure: identical (expr, n, ctx) triples give bit-identical results.
-    Division by zero, log of a non-positive value, sqrt of a negative
-    value, and overflow raise :class:`ExprEvalError` pointing at the
-    offending node, worded as the arithmetic layer words them.
+    Errors are those of :func:`compile_expr`.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"state index must be a non-negative integer, got {n!r}")
-    return _eval(expr, n, ctx)
-
-
-def _eval(node: RateExpr, n: int, ctx: RealContext) -> Real:
-    if isinstance(node, Variable):
-        return ctx.real(n)
-    if isinstance(node, Unary):
-        return -_eval(node.operand, n, ctx)
-    # a child's failure arrives as an ExprEvalError and passes through
-    try:
-        if isinstance(node, Number):
-            return ctx.real(node.literal)
-        if isinstance(node, Binary):
-            return _OPERATORS[node.op](_eval(node.left, n, ctx), _eval(node.right, n, ctx))
-        if isinstance(node, Call):
-            return _FUNCTIONS[node.func][1](*[_eval(a, n, ctx) for a in node.args])
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        where = f"{node.func}: " if isinstance(node, Call) else ""
-        raise ExprEvalError(f"{where}{exc}", node.pos) from exc
-    raise TypeError(f"not an expression node: {node!r}")
+    return Real(ctx, compile_expr(expr, ctx)(n))
 
 
 # precedence levels for the printer; atoms sit above every operator

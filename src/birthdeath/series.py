@@ -2,7 +2,9 @@
 
 Every infinite sum in this package (the extinction normalizer and each
 expected-passage-time series) runs through :func:`sum_positive_series`,
-which accumulates terms until it can defend one of three verdicts:
+which accumulates terms, raw values of the context (``float`` or
+``Decimal``) added by the context's own raw operations, until it can
+defend one of three verdicts:
 
 * ``Converged`` -- the latest term is below ``rel_tol`` of the running
   sum AND the last ``DIVERGENCE_WINDOW`` consecutive term ratios were
@@ -78,20 +80,23 @@ SeriesOutcome = Union[Converged, Diverged]
 
 
 def sum_positive_series(
-    terms: Iterator[Real], ctx: RealContext, policy: SeriesPolicy | None = None
+    terms: Iterator, ctx: RealContext, policy: SeriesPolicy | None = None
 ) -> SeriesOutcome:
-    """Sum a series of positive terms under ``policy``.
+    """Sum a series of positive terms, raw values of ``ctx``, under ``policy``.
 
     ``policy`` defaults to ``SeriesPolicy.default(ctx)``.  The iterator
-    must yield terms in order.  Terms are products of strictly positive
-    rates, so a term equal to zero can only have underflowed; the terms
-    after it are unknown and may grow again, so it raises
-    :class:`InconclusiveSeriesError` rather than ending the sum.
+    must yield terms in order; an ``OverflowError`` raised while producing
+    term k means ``Diverged(k)``.  ``Converged.total`` is a Real.  Terms
+    are products of strictly positive rates, so a term equal to zero can
+    only have underflowed; the terms after it are unknown and may grow
+    again, so it raises :class:`InconclusiveSeriesError` rather than ending
+    the sum.
     """
     if policy is None:
         policy = SeriesPolicy.default(ctx)
-    total = ctx.zero()
-    prev: Real | None = None
+    add, mul, rel_tol = ctx.add, ctx.mul, ctx.real(policy.rel_tol).raw
+    total = ctx.zero().raw
+    prev = None
     window = DIVERGENCE_WINDOW
     below_streak = 0
     growing_streak = 0
@@ -108,7 +113,7 @@ def sum_positive_series(
             raise InconclusiveSeriesError(count, "series terms ended unexpectedly") from None
         count += 1
         try:
-            if term.is_zero():
+            if term == 0:
                 raise InconclusiveSeriesError(
                     count, f"series term {count} underflowed to zero; raise the precision"
                 )
@@ -116,18 +121,18 @@ def sum_positive_series(
                 below = term < prev
                 below_streak = below_streak + 1 if below else 0
                 growing_streak = 0 if below else growing_streak + 1
-            total = total + term
+            total = add(total, term)
         except OverflowError:
             return Diverged(count)
         if growing_streak >= window:
             return Diverged(count)
-        if below_streak >= window and term < policy.rel_tol * total:
-            return Converged(total, count)
+        if below_streak >= window and term < mul(rel_tol, total):
+            return Converged(Real(ctx, total), count)
         prev = term
 
     # Budget exhausted without a streak verdict.  The budget exceeds the
     # window, so the last window is full, and it is not all growth (that
     # returned above): unless every ratio in it fell, it straddles 1.
-    if below_streak < window and not (prev < policy.rel_tol * total):
+    if below_streak < window and not (prev < mul(rel_tol, total)):
         return Diverged(count, low_confidence=True)
     raise InconclusiveSeriesError(count)

@@ -236,3 +236,12 @@ def test_total_order_on_finite_values():
     assert values[0] != "3"
     with pytest.raises(TypeError):
         values[0] < "3"
+
+
+def test_values_survive_pickling():
+    import pickle
+
+    for ctx in (make_context("machine"), make_context("extended", 30)):
+        x = pickle.loads(pickle.dumps(ctx.real("1.5")))
+        assert x.ctx == ctx
+        assert (x * x).literal() == (ctx.real("1.5") * ctx.real("1.5")).literal()

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import MAX_PREC, Decimal
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +362,33 @@ def test_bad_tol_rejected(capsys):
     )
     assert code == 1
     assert err
+
+
+def test_underflowed_tol_is_named(capsys):
+    # 1e-400 rounds to zero in binary64: it underflowed, it is not out of range
+    args = ("time", "--lambda", "1", "--mu", "n", "--imax", "1", "--tol", "1e-400")
+    assert run_cli(capsys, *args) == (
+        1, "", "error: tolerance '1e-400' underflows the context\n")
+    assert run_cli(capsys, *args, "--digits", "30")[0] == 0
+    for zero in ("0", "0e-500"):
+        assert run_cli(capsys, *args[:-1], zero) == (
+            1, "", "error: rel_tol must satisfy 0 < rel_tol < 1\n")
+
+
+def test_runs_as_a_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for module in ("birthdeath", "birthdeath.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "time", "--lambda", "1", "--mu", "n", "--imax", "1",
+             "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), module
+        assert json.loads(proc.stdout)["classification"] == "Finite"
+    proc = subprocess.run([sys.executable, "-m", "birthdeath", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "birthdeath, version 0.1.0\n")
 
 
 def test_bad_max_terms_rejected(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 from decimal import Decimal
 
 import pytest
@@ -37,6 +38,16 @@ def test_delta1_against_direct_summation_oracle(mctx):
     assert oracles.rel_err_decimal(out.total.literal(), direct) < 1e-13
     # and the direct sum itself is e - 2
     assert abs(direct - Decimal(oracles.DELTA_1)) < Decimal("1e-30")
+
+
+def test_raw_loops_round_in_the_context_not_the_thread():
+    # the thread's 5-digit decimal context must play no part in a 70-digit run
+    ctx70 = make_context("extended", 70)
+    with decimal.localcontext(prec=5):
+        report = omega_stable(expr_model("1", "n", ctx70), 1, ctx70)
+    assert report.classification == FINITE
+    e_minus_one = oracles.highprec().subtract(oracles.taylor_e(), 1)
+    assert oracles.rel_err_decimal(report.omega[1].literal(), e_minus_one) < Decimal("1e-68")
 
 
 def test_delta_series_extended_vs_oracle():

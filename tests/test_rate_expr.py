@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,12 +6,13 @@ import pytest
 from birthdeath import (
     ExprEvalError,
     ExprSyntaxError,
+    arithmetic,
     eval_expr,
     make_context,
     parse,
     pretty,
 )
-from birthdeath.rate_expr import Binary, Call, Number, Unary, Variable
+from birthdeath.rate_expr import Binary, Call, Number, Unary, Variable, compile_expr
 
 
 def test_single_variable():
@@ -194,3 +196,76 @@ def test_pretty_round_trip_random_trees():
     for _ in range(300):
         tree = _random_tree(rng, 4)
         assert parse(pretty(tree)) == tree
+
+
+# -- the compiled evaluator against a tree walk over Real operations ---------
+
+_REAL_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                   "/": operator.truediv, "^": operator.pow}
+_REAL_FUNCTIONS = {"exp": arithmetic.exp, "log": arithmetic.log, "sqrt": arithmetic.sqrt,
+                   "min": min, "max": max}
+
+
+def _walk(node, n, ctx):
+    """Reference evaluation: Real operations, each failure named at its node."""
+    if isinstance(node, Variable):
+        return ctx.real(n)
+    if isinstance(node, Unary):
+        return -_walk(node.operand, n, ctx)
+    try:
+        if isinstance(node, Number):
+            return ctx.real(node.literal)
+        if isinstance(node, Binary):
+            return _REAL_OPERATORS[node.op](_walk(node.left, n, ctx), _walk(node.right, n, ctx))
+        return _REAL_FUNCTIONS[node.func](*[_walk(a, n, ctx) for a in node.args])
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        where = f"{node.func}: " if isinstance(node, Call) else ""
+        raise ExprEvalError(f"{where}{exc}", node.pos) from exc
+
+
+_LITERALS = ("0", "1", "2", "3", "0.5", "17", "2.5e-3", "1e-400", "1e999", "1e300", "4.75")
+
+
+def _grammar_tree(rng, depth):
+    """A random tree over the whole grammar, at most ``depth`` levels below the root."""
+    if depth == 0 or rng.random() < 0.25:
+        return Variable("n") if rng.random() < 0.4 else Number(rng.choice(_LITERALS))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Unary("-", _grammar_tree(rng, depth - 1))
+    if kind in (1, 2):
+        return Binary(rng.choice("+-*/^"), _grammar_tree(rng, depth - 1),
+                      _grammar_tree(rng, depth - 1))
+    if kind == 3:
+        return Call(rng.choice(("exp", "log", "sqrt")), (_grammar_tree(rng, depth - 1),))
+    return Call(rng.choice(("min", "max")),
+                (_grammar_tree(rng, depth - 1), _grammar_tree(rng, depth - 1)))
+
+
+def _outcome(evaluate):
+    try:
+        return "value", evaluate().literal()
+    except ExprEvalError as exc:
+        return "error", str(exc), exc.offset
+
+
+def test_compiled_evaluator_matches_a_real_tree_walk():
+    rng = random.Random(20261019)
+    contexts = (make_context("machine"), make_context("extended", 30),
+                make_context("extended", 70))
+    seen = {"value": 0, "error": 0}
+    messages = set()
+    for _ in range(300):
+        # parsed from text, so every node carries its source offset
+        tree = parse(pretty(_grammar_tree(rng, 6)))
+        for ctx in contexts:
+            compiled = compile_expr(tree, ctx)
+            for n in (1, 2, 17, 1000):
+                want = _outcome(lambda: _walk(tree, n, ctx))
+                got = _outcome(lambda: arithmetic.Real(ctx, compiled(n)))
+                assert got == want, (pretty(tree), n, ctx)
+                seen[want[0]] += 1
+                if want[0] == "error":
+                    messages.add(want[1].split(": ", 1)[1])
+    assert min(seen.values()) > 500, seen
+    assert len(messages) >= 6, messages

@@ -1,11 +1,14 @@
 import pytest
 
 from birthdeath import (
+    ContextMismatchError,
     ExprSyntaxError,
     NonPositiveRateError,
     RateModel,
     constant_model,
     expr_model,
+    make_context,
+    omega_stable,
 )
 
 
@@ -76,3 +79,29 @@ def test_rate_function_must_return_real(mctx):
     m = RateModel(lambda n: 1.0, lambda n: mctx.one())
     with pytest.raises(TypeError):
         m.birth(1)
+
+
+def test_rates_of_one_context_do_not_mix_into_another(mctx):
+    ctx30, ctx70 = make_context("extended", 30), make_context("extended", 70)
+    with pytest.raises(ContextMismatchError):
+        omega_stable(expr_model("1", "n", ctx30), 3, ctx70)
+    with pytest.raises(ContextMismatchError):
+        omega_stable(constant_model(mctx.real(1), mctx.real(2)), 3, ctx30)
+    # a model read under one context is bound to it
+    m = expr_model("1", "n", ctx30)
+    omega_stable(m, 3, ctx30)
+    with pytest.raises(ContextMismatchError):
+        omega_stable(m, 3, ctx70)
+
+
+def test_only_read_states_are_evaluated(mctx):
+    evaluated = []
+
+    def death(n):
+        evaluated.append(n)
+        return mctx.real(n)
+
+    omega_stable(RateModel(lambda n: mctx.one(), death), 3, mctx)
+    # the extinction sum reads states 1.., the top delta series 3.., the step 2 and 1
+    assert sorted(evaluated) == list(range(1, max(evaluated) + 1))
+    assert len(evaluated) == len(set(evaluated))

@@ -14,12 +14,13 @@ from birthdeath.series import (
 
 
 def _terms_from_ratios(ctx, first, ratio_fn):
+    """Raw terms: ``first``, then each the last times the next ratio."""
     def gen():
-        t = ctx.real(first)
+        t = ctx.real(first).raw
         k = 0
         while True:
             yield t
-            t = t * ctx.real(ratio_fn(k))
+            t = ctx.mul(t, ctx.real(ratio_fn(k)).raw)
             k += 1
     return gen()
 
@@ -75,7 +76,7 @@ def test_harmonic_like_is_inconclusive(mctx):
     def gen():
         k = 1
         while True:
-            yield mctx.one() / k
+            yield mctx.div(mctx.one().raw, mctx.from_int(k))
             k += 1
     p = dataclasses.replace(SeriesPolicy.default(mctx), max_terms=3000)
     with pytest.raises(InconclusiveSeriesError) as exc_info:
@@ -97,28 +98,33 @@ def test_straddling_ratios_reported_low_confidence(mctx):
 def test_zero_term_short_circuits(mctx):
     # rates are positive, so a zero term underflowed: the tail is unknown
     def gen():
-        yield mctx.one()
-        yield mctx.zero()
+        yield mctx.one().raw
+        yield mctx.zero().raw
         raise AssertionError("must not be pulled past a zero term")
     with pytest.raises(InconclusiveSeriesError, match="underflowed") as info:
         sum_positive_series(gen(), mctx, SeriesPolicy.default(mctx))
     assert info.value.terms == 2
+    # a product that underflows: 1e-300 * 1e-30 is 0.0 in binary64, term 12
+    with pytest.raises(InconclusiveSeriesError, match="term 12 underflowed") as info:
+        sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "1e-30"), mctx,
+                            SeriesPolicy.default(mctx))
+    assert info.value.terms == 12
 
 
 def test_overflowing_terms_diverge(mctx):
     p = SeriesPolicy.default(mctx)
     out = sum_positive_series(_terms_from_ratios(mctx, "1", lambda k: "1e30"), mctx, p)
-    assert isinstance(out, Diverged)
-    assert out.terms < DIVERGENCE_WINDOW
+    # 11 terms up to 1e300, then the generator overflows producing term 12
+    assert out == Diverged(12)
     # each term finite, the running total not
-    huge = mctx.real("1e308")
+    huge = mctx.real("1e308").raw
     assert sum_positive_series(iter([huge, huge]), mctx, p) == Diverged(2)
 
 
 def test_exhausted_finite_iterator_is_inconclusive(mctx):
     def gen():
-        yield mctx.one()
-        yield mctx.one()
+        yield mctx.one().raw
+        yield mctx.one().raw
     with pytest.raises(InconclusiveSeriesError):
         sum_positive_series(gen(), mctx, SeriesPolicy.default(mctx))
 
@@ -140,25 +146,26 @@ def test_geometric_convergence_at_the_smallest_budget(mctx):
     assert out.terms == DIVERGENCE_WINDOW + 1
 
 
-def _judge(terms, policy):
-    """The verdict rule restated over every ratio, reading the last window
-    explicitly: (kind, terms, total or low_confidence)."""
+def _judge(ctx, terms, policy):
+    """The verdict rule restated over every ratio of raw ``terms``, reading the
+    last window explicitly: (kind, terms, raw total or low_confidence)."""
     window = DIVERGENCE_WINDOW
+    rel_tol = policy.rel_tol.raw
     below = []  # per ratio: did the term fall?
-    total = terms[0].ctx.zero()
+    total = ctx.zero().raw
     for count, term in enumerate(terms[:policy.max_terms], 1):
         if count > 1:
             below.append(term < terms[count - 2])
-        total = total + term
+        total = ctx.add(total, term)
         last = below[-window:]
         if len(last) == window and not any(last):
             return "diverged", count, False
-        if len(last) == window and all(last) and term < policy.rel_tol * total:
+        if len(last) == window and all(last) and term < ctx.mul(rel_tol, total):
             return "converged", count, total
     last = below[-window:]
     if not any(last):
         return "diverged", policy.max_terms, False
-    if not all(last) and not (terms[policy.max_terms - 1] < policy.rel_tol * total):
+    if not all(last) and not (terms[policy.max_terms - 1] < ctx.mul(rel_tol, total)):
         return "diverged", policy.max_terms, True
     return "inconclusive", policy.max_terms, None
 
@@ -184,17 +191,17 @@ def test_streak_counters_agree_with_an_explicit_window(mctx):
             1.0 if rng.random() < 0.05 else families[family](k, turn)
             for k in range(budget - 1)
         ]
-        terms = [mctx.one()]
+        terms = [mctx.one().raw]
         for r in ratios:
-            terms.append(terms[-1] * mctx.real(repr(r)))
-        want = _judge(terms, policy)
+            terms.append(mctx.mul(terms[-1], mctx.real(repr(r)).raw))
+        want = _judge(mctx, terms, policy)
         try:
             out = sum_positive_series(iter(terms), mctx, policy)
         except InconclusiveSeriesError as exc:
             got = ("inconclusive", exc.terms, None)
         else:
             if isinstance(out, Converged):
-                got = ("converged", out.terms, out.total)
+                got = ("converged", out.terms, out.total.raw)
             else:
                 got = ("diverged", out.terms, out.low_confidence)
         assert got == want, (family, budget, tol, ratios)
