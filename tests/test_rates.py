@@ -9,6 +9,7 @@ from birthdeath import (
     expr_model,
     make_context,
     omega_stable,
+    pi_product,
 )
 
 
@@ -94,14 +95,16 @@ def test_rates_of_one_context_do_not_mix_into_another(mctx):
         omega_stable(m, 3, ctx70)
 
 
-def test_only_read_states_are_evaluated(mctx):
+def test_a_state_is_evaluated_once_and_only_when_read(mctx):
     evaluated = []
 
     def death(n):
         evaluated.append(n)
         return mctx.real(n)
 
-    omega_stable(RateModel(lambda n: mctx.one(), death), 3, mctx)
-    # the extinction sum reads states 1.., the top delta series 3.., the step 2 and 1
-    assert sorted(evaluated) == list(range(1, max(evaluated) + 1))
+    model = RateModel(lambda n: mctx.one(), death)
+    assert float(pi_product(model, 5, mctx)) == 24.0
+    assert evaluated == [1, 2, 3, 4]
+    assert model.death(4) is model.death(4)
+    omega_stable(model, 3, mctx)
     assert len(evaluated) == len(set(evaluated))
